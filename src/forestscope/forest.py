@@ -21,8 +21,12 @@ Three routes to the same forest live here, on purpose:
 * `forest_summary`: per-cardinality accumulation without storing trees.
   The algebraic mode computes identical totals by memoized convolution
   over (train, test, population, usable-feature) subproblems, which is
-  what makes thousand-trial runs affordable; the streaming mode drives the
-  search enumerator and measures each tree directly.  Tests hold the two
+  what makes thousand-trial runs affordable.  It serves every request,
+  path-length bins included: a tree's path-test total is additive over its
+  splits (each adds the population weight reaching it), so the exact
+  big-int profile keys on it and bins each distinct total once.  The
+  streaming mode drives the search enumerator and measures each tree
+  directly; it runs only when asked for, as the oracle.  Tests hold the two
   modes and the oracle to bucket-for-bucket agreement.
 
 Budgets count splits.  `max_nodes=None` means no explicit cap, which is
@@ -394,8 +398,8 @@ class TrackOptions:
     leaf_hist: histogram of leaf counts per tree.
     path_length: total split-traversals over the population, summed over
         trees (enables mean path length per cardinality).
-    path_bins: histogram bin width for per-tree average path length; forces
-        streaming accumulation.
+    path_bins: histogram bin width for per-tree average path length over
+        the population; computed by the exact big-int algebraic profile.
     """
 
     error_hist: bool = True
@@ -455,9 +459,11 @@ def forest_summary(
 ) -> ForestSummary:
     """Accumulate the consistent forest without storing trees.
 
-    mode: 'auto' picks 'stream' when path bins are requested, otherwise the
-    algebraic route; 'stream' and 'algebraic' force one route (tests compare
-    them).  Raises EnumerationTruncated past limits.max_trees.
+    mode: 'auto' and 'algebraic' run the algebraic route, which serves
+    every tracking option; 'stream' walks every tree with the search
+    enumerator and measures it directly, the oracle the tests compare the
+    algebraic route against.  Raises EnumerationTruncated past
+    limits.max_trees.
     """
     if mode not in ("auto", "stream", "algebraic"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -465,13 +471,14 @@ def forest_summary(
         raise ValueError("path_bins width must be positive")
     if (track.path_length or track.path_bins is not None) and population is None:
         raise ValueError("path-length tracking needs a population")
-    if mode == "auto":
-        mode = "stream" if track.path_bins is not None else "algebraic"
-    if mode == "algebraic" and track.path_bins is not None:
-        raise ValueError("path bins require streaming accumulation")
     if mode == "stream":
         return _summary_stream(train, test, limits, population, track)
     return _summary_algebraic(train, test, limits, population, track)
+
+
+def _path_bin(total_tests: int, npop: int, width: float) -> int:
+    """Bin of a tree whose splits were traversed total_tests times by npop instances."""
+    return int((total_tests / npop) / width)
 
 
 def _summary_stream(train, test, limits, population, track) -> ForestSummary:
@@ -516,8 +523,7 @@ def _summary_stream(train, test, limits, population, track) -> ForestSummary:
                     n = n.children[inst[n.feature]]
             b.path_tests_total += total_tests
             if bins is not None:
-                k = int((total_tests / npop) / track.path_bins)
-                slot = bins.setdefault(k, [0, 0])
+                slot = bins.setdefault(_path_bin(total_tests, npop, track.path_bins), [0, 0])
                 slot[0] += 1
                 slot[1] += misc
     return ForestSummary(
@@ -537,9 +543,9 @@ def _summary_algebraic(train, test, limits, population, track) -> ForestSummary:
     tr = _Router(train)
     if tr.n == 0:
         raise ValueError("training set is empty")
-    te = _Router(test) if test is not None and test.examples else None
+    te = _Router(test) if test is not None else None
     cap = _effective_cap(limits, tr)
-    joint = track.leaf_hist or track.path_length
+    joint = track.leaf_hist or track.path_length or track.path_bins is not None
     try:
         if not joint and track.error_hist and te is not None:
             summary = _algebraic_hist_numpy(tr, te, cap)
@@ -777,12 +783,14 @@ def _algebraic_dict(tr: _Router, te: _Router | None, cap: int, population, track
 
     Keys are (misc, leaves, path_tests) restricted to the tracked parts;
     values are tree counts.  Slow but assumption-free; also the overflow
-    fallback for the numpy path.
+    fallback for the numpy path.  Path bins come from the path_tests key,
+    one bin lookup per distinct total.
     """
     n_feat = len(tr.arities)
     all_features = (1 << n_feat) - 1
     use_leaves = track.leaf_hist
-    use_path = track.path_length
+    use_path = track.path_length or track.path_bins is not None
+    bins: dict[int, list[int]] | None = {} if track.path_bins is not None else None
     pop_masks, pop_weights, pop_full = (
         _pop_tables(tr, population) if use_path else (None, None, 0)
     )
@@ -908,6 +916,10 @@ def _algebraic_dict(tr: _Router, te: _Router | None, cap: int, population, track
                 b.leaf_hist[leaves] = b.leaf_hist.get(leaves, 0) + cnt
             if use_path:
                 b.path_tests_total += k[pos] * cnt
+            if bins is not None:
+                slot = bins.setdefault(_path_bin(k[pos], len(population), track.path_bins), [0, 0])
+                slot[0] += cnt
+                slot[1] += misc * cnt
         if b.tree_count:
             buckets[c] = b
 
@@ -923,6 +935,8 @@ def _algebraic_dict(tr: _Router, te: _Router | None, cap: int, population, track
         buckets=buckets,
         test_weight=te_weight,
         population_size=len(population) if population is not None and use_path else None,
+        path_bin_width=track.path_bins,
+        path_bins=bins,
     )
 
 

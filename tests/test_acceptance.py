@@ -288,6 +288,30 @@ def test_structural_properties_hold_end_to_end(tmp_path):
             assert filecmp.cmp(outs[0] / name, other / name, shallow=False), name
 
 
+def test_path_length_bins_hold_every_tree_for_any_worker_count(tmp_path):
+    cfg = replace(preset("fig9"), master_seed=SEED)
+    outs = []
+    for workers in (1, 2):
+        res = run_trials(cfg, threads=workers)
+        out = tmp_path / f"w{workers}"
+        emit_all(cfg, res, str(out))
+        outs.append(out)
+    records = res[0].records
+    assert len(records) == 100
+    for r in records:
+        s = r.summary
+        assert s.path_bin_width == 0.25 and s.total_trees > 0
+        assert sum(n for n, _ in s.path_bins.values()) == s.total_trees, r.trial_id
+        assert sum(m for _, m in s.path_bins.values()) == sum(
+            b.misclassified_total for b in s.buckets.values()
+        ), r.trial_id
+    names = sorted(os.listdir(outs[0]))
+    assert "path_length.csv" in names
+    assert sorted(os.listdir(outs[1])) == names
+    for name in names:
+        assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
+
+
 def test_deep_budget_leg_stays_behind_a_flag():
     cfg = preset("fig13")
     default_caps = [leg.max_nodes for leg in select_legs(cfg).legs]

@@ -204,6 +204,59 @@ def test_stream_and_algebraic_buckets_agree(seed):
 
 
 @pytest.mark.property_based
+@given(st.integers(0, 2**32), st.sampled_from([0.25, 0.1, 0.3, 1 / 3]), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_stream_and_algebraic_path_bins_agree(seed, width, duplicated):
+    data = apply_concept(get_concept("xyz-or-ab"))
+    r = SplitMix64(seed)
+    train, test = split_disjoint(data, 14 + r.below(8), r)
+    pop = list(instance_space(data.schema))
+    if duplicated:
+        # repeated instances weigh into path totals and the bin denominator
+        pop += [pop[r.below(len(pop))] for _ in range(1 + r.below(8))]
+    lim = EnumerationLimits(max_nodes=7)
+    track = TrackOptions(error_hist=True, leaf_hist=True, path_length=True, path_bins=width)
+    a = forest_summary(train, test, lim, pop, track, mode="stream")
+    b = forest_summary(train, test, lim, pop, track, mode="algebraic")
+    assert a == b
+
+
+def test_empty_test_set_gives_the_same_summary_on_both_routes():
+    data = apply_concept(get_concept("xyz-or-ab"))
+    train, _ = split_disjoint(data, 20, SplitMix64(3))
+    empty = Dataset(data.schema, ())
+    lim = EnumerationLimits(max_nodes=8)
+    sums = TrackOptions(error_hist=False)
+    assert forest_summary(train, empty, lim, track=sums, mode="stream") == forest_summary(
+        train, empty, lim, track=sums, mode="algebraic"
+    )
+    a = forest_summary(train, empty, lim, mode="stream")
+    b = forest_summary(train, empty, lim, mode="algebraic")
+    assert a == b
+    assert b.buckets and b.test_weight == 0
+    for bucket in b.buckets.values():
+        assert bucket.correct_count == bucket.tree_count
+        assert bucket.error_hist == {0: bucket.tree_count}
+
+
+def test_path_bins_do_not_walk_trees(monkeypatch):
+    import forestscope.forest as forest
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("path bins walked the trees")
+
+    monkeypatch.setattr(forest, "iter_consistent", refuse)
+    data = apply_concept(get_concept("xyz-or-ab"))
+    train, test = split_disjoint(data, 20, SplitMix64(3))
+    summary = forest_summary(
+        train, test, EnumerationLimits(max_nodes=8), list(instance_space(data.schema)),
+        track=TrackOptions(path_bins=0.25),
+    )
+    assert summary.path_bins
+    assert sum(n for n, _ in summary.path_bins.values()) == summary.total_trees
+
+
+@pytest.mark.property_based
 @given(st.integers(0, 2**32))
 @settings(max_examples=100, deadline=None)
 def test_feature_permutation_leaves_counts_alone(seed):
