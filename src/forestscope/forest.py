@@ -19,12 +19,19 @@ Three routes to the same forest live here, on purpose:
   `tree`.  Kept deliberately independent of the search enumerator; bounded
   to small schemas.
 * `forest_summary`: per-cardinality accumulation without storing trees.
-  The algebraic mode computes identical totals by memoized convolution
-  over (train, test, population, usable-feature) subproblems, which is
-  what makes thousand-trial runs affordable.  It serves every request,
-  path-length bins included: a tree's path-test total is additive over its
-  splits (each adds the population weight reaching it), so the exact
-  big-int profile keys on it and bins each distinct total once.  The
+  The algebraic mode is one recursion, four algebras: `_solve` memoizes
+  over (train, test, population, usable-feature) subproblems, multiplies
+  the profiles of each split's open children and attaches the split with
+  its closed leaves' (misclassified weight, leaves, path tests); what a
+  profile holds is the algebra's business.  `_HistAlgebra` and
+  `_SumsAlgebra` keep int64 tables under an overflow bound checked before
+  every operation, `_JointAlgebra` keeps exact big-int counts keyed on the
+  tracked quantities (and serves when the bound trips), and
+  `_MinSizeAlgebra` is min-plus, giving `min_consistent_size` in one pass.
+  This is what makes thousand-trial runs affordable.  It serves every
+  request, path-length bins included: a tree's path-test total is additive
+  over its splits (each adds the population weight reaching it), so the
+  joint profile keys on it and bins each distinct total once.  The
   streaming mode drives the search enumerator and measures each tree
   directly; it runs only when asked for, as the oracle.  Tests hold the two
   modes and the oracle to bucket-for-bucket agreement.
@@ -39,6 +46,7 @@ majority class of the parent's examples, ties to the smallest class index.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
@@ -543,55 +551,143 @@ def _summary_algebraic(train, test, limits, population, track) -> ForestSummary:
     tr = _Router(train)
     if tr.n == 0:
         raise ValueError("training set is empty")
-    te = _Router(test) if test is not None else None
+    te = _Router(test if test is not None else Dataset(train.schema, ()))
     cap = _effective_cap(limits, tr)
-    joint = track.leaf_hist or track.path_length or track.path_bins is not None
+    error_hist = track.error_hist and test is not None
+    npop = len(population) if population is not None else None
+    joint = _JointAlgebra(cap, track, error_hist, npop)
+    # the population is a label-0 multiset, routed like the training set
+    pop = (
+        _Router(Dataset(train.schema, tuple(LabeledExample(inst, 0) for inst in population)))
+        if joint.use_path
+        else None
+    )
+    if joint.use_leaves or joint.use_path:
+        alg = joint
+    elif error_hist:
+        alg = _HistAlgebra(cap, te.grand_total)
+    else:
+        alg = _SumsAlgebra(cap, te.grand_total)
     try:
-        if not joint and track.error_hist and te is not None:
-            summary = _algebraic_hist_numpy(tr, te, cap)
-        elif not joint:
-            summary = _algebraic_sums(tr, te, cap)
-        else:
-            summary = _algebraic_dict(tr, te, cap, population, track)
+        buckets, bins = alg.tables(_solve(alg, tr, te, pop, cap))
     except _Overflow:
         # exact big-int route; slower, never wraps
-        summary = _algebraic_dict(tr, te, cap, population, track)
+        buckets, bins = joint.tables(_solve(joint, tr, te, pop, cap))
+    summary = ForestSummary(
+        buckets=buckets,
+        test_weight=te.grand_total,
+        population_size=npop,
+        path_bin_width=track.path_bins,
+        path_bins=bins,
+    )
     if limits.max_trees and summary.total_trees > limits.max_trees:
         raise EnumerationTruncated(limits.max_trees)
     return summary
 
 
-def _pop_tables(tr: _Router, population) -> tuple[list[list[int]], list[int], int]:
-    index: dict[tuple, int] = {}
-    weights: list[int] = []
-    for inst in population:
-        i = index.get(inst)
-        if i is None:
-            index[inst] = len(weights)
-            weights.append(0)
-        weights[index[inst]] += 1
-    masks = [[0] * a for a in tr.arities]
-    for inst, i in index.items():
-        for f, v in enumerate(inst):
-            masks[f][v] |= 1 << i
-    return masks, weights, (1 << len(weights)) - 1
+def _solve(alg, tr: _Router, te: _Router, pop: _Router | None, cap: int):
+    """Profile, in algebra `alg`, of every consistent tree within `cap` splits.
+
+    One memoized recursion over (train, test, population, usable-feature)
+    bitsets; `pop` is None when no population is tracked, which keeps its
+    masks out of the per-split loop.  Each split multiplies its open
+    children's profiles (`alg.mul`) and is attached with its closed leaves'
+    misclassified test weight, leaf count and path tests (`alg.attach`).
+
+    Next to each memoized profile the recursion keeps, in Python ints, an
+    upper bound on its tree total: a product's bound is the product of
+    bounds, a node's is the sum over its splits, an all-leaves split
+    counting 1.  `_Overflow` is raised before any product or attach whose
+    bound passes `alg.limit`, so a fixed-width table never wraps.
+    """
+    sole = tr.sole_class(tr.full)
+    if sole is not None:
+        return alg.leaf(te.wrong_weight(te.full, sole))
+    limit = alg.limit
+    memo: dict[tuple[int, int, int, int], tuple] = {}
+
+    def solve(tr_bits: int, te_bits: int, pop_bits: int, usable: int) -> tuple:
+        key = (tr_bits, te_bits, pop_bits, usable)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        out = alg.zero()
+        total = 0
+        max_b = min(cap, tr_bits.bit_count() - 1)
+        path = pop.weight(pop_bits) if pop is not None else 0
+        for f in _iter_bits(usable):
+            tr_kids = [tr_bits & m for m in tr.value_mask[f]]
+            nonempty = [v for v, kb in enumerate(tr_kids) if kb]
+            if len(nonempty) < 2:
+                continue
+            te_kids = [te_bits & m for m in te.value_mask[f]]
+            pop_kids = [pop_bits & m for m in pop.value_mask[f]] if pop is not None else None
+            child_usable = usable & ~(1 << f)
+            misc = leaves = 0
+            maj = None
+            acc = None
+            bound = 1
+            for v, kb in enumerate(tr_kids):
+                if not kb:
+                    if te_kids[v]:
+                        if maj is None:
+                            maj = tr.majority(tr_bits)
+                        misc += te.wrong_weight(te_kids[v], maj)
+                    leaves += 1
+                    continue
+                sole = tr.sole_class(kb)
+                if sole is not None:
+                    misc += te.wrong_weight(te_kids[v], sole)
+                    leaves += 1
+                    continue
+                part, part_bound = solve(
+                    kb, te_kids[v], pop_kids[v] if pop is not None else 0, child_usable
+                )
+                bound *= part_bound
+                if bound > limit:
+                    raise _Overflow
+                acc = part if acc is None else alg.mul(acc, part)
+            total += bound
+            if total > limit:
+                raise _Overflow
+            out = alg.attach(out, acc, max_b, misc, leaves, path)
+        memo[key] = got = (out, total)
+        return got
+
+    all_features = (1 << len(tr.arities)) - 1
+    return solve(tr.full, te.full, pop.full if pop is not None else 0, all_features)[0]
 
 
-def _algebraic_hist_numpy(tr: _Router, te: _Router, cap: int) -> ForestSummary:
-    """Histogram profile: int64 arrays [budget+1, misc_weight+1]."""
-    wdim = te.grand_total + 1
-    n_feat = len(tr.arities)
-    all_features = (1 << n_feat) - 1
-    memo: dict[tuple[int, int, int], np.ndarray] = {}
+# Algebras.  zero() is the profile of no trees and leaf(misc) that of the
+# lone leaf; mul(a, b) combines independent children (never mutating
+# either); attach(out, acc, max_b, misc, leaves, path) adds to `out` the
+# trees of one split whose open children multiplied to `acc` (None when
+# every child is a closed leaf), one split deeper, within `max_b` splits;
+# tables(profile) gives the summary's buckets and path bins.
 
-    def leaf_misc(te_bits: int, label: int) -> int:
-        return te.wrong_weight(te_bits, label)
 
-    def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+class _HistAlgebra:
+    """Per budget, a histogram of misclassified test weight: int64 [cap+1, W+1]."""
+
+    limit = _OVERFLOW_LIMIT
+
+    def __init__(self, cap: int, test_weight: int):
+        self.cap = cap
+        self.wdim = test_weight + 1
+
+    def zero(self) -> np.ndarray:
+        return np.zeros((self.cap + 1, self.wdim), dtype=np.int64)
+
+    def leaf(self, misc: int) -> np.ndarray:
+        out = self.zero()
+        out[0, misc] = 1
+        return out
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if np.count_nonzero(a) > np.count_nonzero(b):
             a, b = b, a
         hb, wb = b.shape
-        out = np.zeros((min(a.shape[0] + hb - 1, cap + 1), wdim), dtype=np.int64)
+        out = np.zeros((min(a.shape[0] + hb - 1, self.cap + 1), self.wdim), dtype=np.int64)
         oh, ow = out.shape
         for i, j in np.argwhere(a):
             v = a[i, j]
@@ -601,67 +697,18 @@ def _algebraic_hist_numpy(tr: _Router, te: _Router, cap: int) -> ForestSummary:
                 out[i : i + bh, j : j + bw] += v * b[:bh, :bw]
         return out
 
-    def solve(tr_bits: int, te_bits: int, usable: int) -> np.ndarray:
-        key = (tr_bits, te_bits, usable)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        out = np.zeros((cap + 1, wdim), dtype=np.int64)
-        max_b = min(cap, tr_bits.bit_count() - 1)
-        for f in _iter_bits(usable):
-            tr_kids = [tr_bits & m for m in tr.value_mask[f]]
-            nonempty = [v for v, kb in enumerate(tr_kids) if kb]
-            if len(nonempty) < 2:
-                continue
-            te_kids = [te_bits & m for m in te.value_mask[f]]
-            child_usable = usable & ~(1 << f)
-            misc_off = 0
-            acc = None
-            maj = None
-            open_vals = []
-            for v, kb in enumerate(tr_kids):
-                if not kb:
-                    if te_kids[v]:
-                        if maj is None:
-                            maj = tr.majority(tr_bits)
-                        misc_off += leaf_misc(te_kids[v], maj)
-                    continue
-                sole = tr.sole_class(kb)
-                if sole is not None:
-                    misc_off += leaf_misc(te_kids[v], sole)
-                else:
-                    open_vals.append(v)
-            for v in open_vals:
-                d = solve(tr_kids[v], te_kids[v], child_usable)
-                acc = d if acc is None else convolve(acc, d)
-                if acc.shape[0] > cap:
-                    acc = acc[: cap + 1]
-            if acc is None:
-                # all children closed as leaves: a single 1-split tree
-                if max_b >= 1:
-                    out[1, misc_off] += 1
-                continue
-            # attach this split: +1 budget, constant leaf misclassification
-            h = min(acc.shape[0], max_b)
-            if h > 0 and misc_off < wdim:
-                out[1 : 1 + h, misc_off:] += acc[:h, : wdim - misc_off]
-        if out.max(initial=0) > _OVERFLOW_LIMIT or out.min(initial=0) < 0:
-            raise _Overflow
-        memo[key] = out
+    def attach(self, out, acc, max_b, misc, leaves, path) -> np.ndarray:
+        if acc is None:
+            if max_b >= 1:
+                out[1, misc] += 1
+            return out
+        h = min(acc.shape[0], max_b)
+        if h > 0 and misc < self.wdim:
+            out[1 : 1 + h, misc:] += acc[:h, : self.wdim - misc]
         return out
 
-    sole = tr.sole_class(tr.full)
-    buckets: dict[int, CardinalityBucket] = {}
-    if sole is not None:
-        misc = leaf_misc(te.full, sole)
-        buckets[0] = CardinalityBucket(
-            tree_count=1,
-            correct_count=1 if misc == 0 else 0,
-            misclassified_total=misc,
-            error_hist={misc: 1},
-        )
-    else:
-        table = solve(tr.full, te.full, all_features)
+    def tables(self, table: np.ndarray):
+        buckets: dict[int, CardinalityBucket] = {}
         for c in range(table.shape[0]):
             row = table[c]
             nz = np.nonzero(row)[0]
@@ -674,138 +721,114 @@ def _algebraic_hist_numpy(tr: _Router, te: _Router, cap: int) -> ForestSummary:
                 misclassified_total=int((nz * row[nz]).sum()),
                 error_hist=hist,
             )
-    return ForestSummary(buckets=buckets, test_weight=te.grand_total)
+        return buckets, None
 
 
-def _algebraic_sums(tr: _Router, te: _Router | None, cap: int) -> ForestSummary:
-    """Sums profile: per budget, (tree_count, misclassified_total, correct)."""
-    n_feat = len(tr.arities)
-    all_features = (1 << n_feat) - 1
-    memo: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+class _SumsAlgebra:
+    """Per budget: (tree_count, misclassified_total, correct_count), int64."""
 
-    def leaf_misc(te_bits: int, label: int) -> int:
-        return te.wrong_weight(te_bits, label) if te is not None else 0
+    def __init__(self, cap: int, test_weight: int):
+        self.cap = cap
+        # the misclassified sums reach tree total * test weight
+        self.limit = _OVERFLOW_LIMIT // max(1, test_weight)
 
-    def convolve1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.convolve(a, b)[: cap + 1]
-
-    def solve(tr_bits: int, te_bits: int, usable: int):
-        key = (tr_bits, te_bits, usable)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        cnt = np.zeros(cap + 1, dtype=np.int64)
-        msum = np.zeros(cap + 1, dtype=np.int64)
-        corr = np.zeros(cap + 1, dtype=np.int64)
-        max_b = min(cap, tr_bits.bit_count() - 1)
-        for f in _iter_bits(usable):
-            tr_kids = [tr_bits & m for m in tr.value_mask[f]]
-            nonempty = [v for v, kb in enumerate(tr_kids) if kb]
-            if len(nonempty) < 2:
-                continue
-            te_kids = (
-                [te_bits & m for m in te.value_mask[f]]
-                if te is not None
-                else [0] * len(tr_kids)
-            )
-            child_usable = usable & ~(1 << f)
-            misc_off = 0
-            maj = None
-            acc = None  # (cnt, msum, corr)
-            for v, kb in enumerate(tr_kids):
-                if not kb:
-                    if te_kids[v]:
-                        if maj is None:
-                            maj = tr.majority(tr_bits)
-                        misc_off += leaf_misc(te_kids[v], maj)
-                    continue
-                sole = tr.sole_class(kb)
-                if sole is not None:
-                    misc_off += leaf_misc(te_kids[v], sole)
-                    continue
-                part = solve(kb, te_kids[v], child_usable)
-                if acc is None:
-                    acc = part
-                else:
-                    c0, m0, z0 = acc
-                    c1, m1, z1 = part
-                    acc = (
-                        convolve1(c0, c1),
-                        convolve1(c0, m1) + convolve1(m0, c1),
-                        convolve1(z0, z1),
-                    )
-            if acc is None:
-                if max_b >= 1:
-                    cnt[1] += 1
-                    msum[1] += misc_off
-                    if misc_off == 0:
-                        corr[1] += 1
-                continue
-            c0, m0, z0 = acc
-            h = min(len(c0), max_b)
-            cnt[1 : 1 + h] += c0[:h]
-            msum[1 : 1 + h] += m0[:h] + misc_off * c0[:h]
-            if misc_off == 0:
-                corr[1 : 1 + h] += z0[:h]
-        if (
-            max(cnt.max(initial=0), msum.max(initial=0)) > _OVERFLOW_LIMIT
-            or min(cnt.min(initial=0), msum.min(initial=0)) < 0
-        ):
-            raise _Overflow
-        memo[key] = (cnt, msum, corr)
-        return memo[key]
-
-    te_full = te.full if te is not None else 0
-    te_weight = te.grand_total if te is not None else 0
-    sole = tr.sole_class(tr.full)
-    buckets: dict[int, CardinalityBucket] = {}
-    if sole is not None:
-        misc = leaf_misc(te_full, sole)
-        buckets[0] = CardinalityBucket(
-            tree_count=1,
-            correct_count=1 if misc == 0 else 0,
-            misclassified_total=misc,
+    def zero(self):
+        n = self.cap + 1
+        return (
+            np.zeros(n, dtype=np.int64),
+            np.zeros(n, dtype=np.int64),
+            np.zeros(n, dtype=np.int64),
         )
-    else:
-        cnt, msum, corr = solve(tr.full, te_full, all_features)
-        for c in range(cap + 1):
-            if cnt[c]:
-                buckets[c] = CardinalityBucket(
-                    tree_count=int(cnt[c]),
-                    correct_count=int(corr[c]),
-                    misclassified_total=int(msum[c]),
-                )
-    return ForestSummary(buckets=buckets, test_weight=te_weight)
+
+    def leaf(self, misc: int):
+        cnt, msum, corr = self.zero()
+        cnt[0] = 1
+        msum[0] = misc
+        corr[0] = misc == 0
+        return cnt, msum, corr
+
+    def mul(self, a, b):
+        n = self.cap + 1
+        c0, m0, z0 = a
+        c1, m1, z1 = b
+        return (
+            np.convolve(c0, c1)[:n],
+            np.convolve(c0, m1)[:n] + np.convolve(m0, c1)[:n],
+            np.convolve(z0, z1)[:n],
+        )
+
+    def attach(self, out, acc, max_b, misc, leaves, path):
+        cnt, msum, corr = out
+        if acc is None:
+            if max_b >= 1:
+                cnt[1] += 1
+                msum[1] += misc
+                if misc == 0:
+                    corr[1] += 1
+            return out
+        c0, m0, z0 = acc
+        h = min(len(c0), max_b)
+        cnt[1 : 1 + h] += c0[:h]
+        msum[1 : 1 + h] += m0[:h] + misc * c0[:h]
+        if misc == 0:
+            corr[1 : 1 + h] += z0[:h]
+        return out
+
+    def tables(self, profile):
+        cnt, msum, corr = profile
+        buckets = {
+            c: CardinalityBucket(
+                tree_count=int(cnt[c]),
+                correct_count=int(corr[c]),
+                misclassified_total=int(msum[c]),
+            )
+            for c in range(self.cap + 1)
+            if cnt[c]
+        }
+        return buckets, None
 
 
-def _algebraic_dict(tr: _Router, te: _Router | None, cap: int, population, track) -> ForestSummary:
-    """General joint profile with exact big ints.
+def _key_add(a: tuple, b: tuple) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
 
-    Keys are (misc, leaves, path_tests) restricted to the tracked parts;
-    values are tree counts.  Slow but assumption-free; also the overflow
-    fallback for the numpy path.  Path bins come from the path_tests key,
-    one bin lookup per distinct total.
+
+class _JointAlgebra:
+    """Per budget, exact big-int tree counts keyed on (misc, leaves, path_tests).
+
+    Only the tracked parts enter the key.  Slow but assumption-free; also
+    the overflow fallback for the int64 algebras.  Path bins come from the
+    path_tests key, one bin lookup per distinct total.
     """
-    n_feat = len(tr.arities)
-    all_features = (1 << n_feat) - 1
-    use_leaves = track.leaf_hist
-    use_path = track.path_length or track.path_bins is not None
-    bins: dict[int, list[int]] | None = {} if track.path_bins is not None else None
-    pop_masks, pop_weights, pop_full = (
-        _pop_tables(tr, population) if use_path else (None, None, 0)
-    )
 
-    def pop_weight(bits: int) -> int:
-        return sum(pop_weights[i] for i in _iter_bits(bits))
+    limit = math.inf
 
-    def leaf_misc(te_bits: int, label: int) -> int:
-        return te.wrong_weight(te_bits, label) if te is not None else 0
+    def __init__(self, cap: int, track: TrackOptions, error_hist: bool, npop: int | None):
+        self.cap = cap
+        self.error_hist = error_hist
+        self.use_leaves = track.leaf_hist
+        self.use_path = track.path_length or track.path_bins is not None
+        self.width = track.path_bins
+        self.npop = npop
 
-    def key_add(a: tuple, b: tuple) -> tuple:
-        return tuple(x + y for x, y in zip(a, b))
+    def key(self, misc: int, leaves: int, path: int) -> tuple:
+        key = [misc]
+        if self.use_leaves:
+            key.append(leaves)
+        if self.use_path:
+            key.append(path)
+        return tuple(key)
 
-    def convolve(a: list[dict], b: list[dict]) -> list[dict]:
-        out: list[dict] = [dict() for _ in range(cap + 1)]
+    def zero(self) -> list[dict]:
+        return [dict() for _ in range(self.cap + 1)]
+
+    def leaf(self, misc: int) -> list[dict]:
+        out = self.zero()
+        out[0][self.key(misc, 1, 0)] = 1
+        return out
+
+    def mul(self, a: list[dict], b: list[dict]) -> list[dict]:
+        cap = self.cap
+        out = self.zero()
         for b1, d1 in enumerate(a):
             if not d1:
                 continue
@@ -817,133 +840,83 @@ def _algebraic_dict(tr: _Router, te: _Router | None, cap: int, population, track
                 slot = out[b1 + b2]
                 for k1, c1 in d1.items():
                     for k2, c2 in d2.items():
-                        k = key_add(k1, k2)
+                        k = _key_add(k1, k2)
                         slot[k] = slot.get(k, 0) + c1 * c2
         return out
 
-    def make_key(misc: int, leaves: int, path: int) -> tuple:
-        key = [misc]
-        if use_leaves:
-            key.append(leaves)
-        if use_path:
-            key.append(path)
-        return tuple(key)
-
-    memo: dict[tuple[int, int, int, int], list[dict]] = {}
-
-    def solve(tr_bits: int, te_bits: int, pop_bits: int, usable: int) -> list[dict]:
-        key = (tr_bits, te_bits, pop_bits, usable)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        out: list[dict] = [dict() for _ in range(cap + 1)]
-        max_b = min(cap, tr_bits.bit_count() - 1)
-        node_pop = pop_weight(pop_bits) if use_path else 0
-        for f in _iter_bits(usable):
-            tr_kids = [tr_bits & m for m in tr.value_mask[f]]
-            nonempty = [v for v, kb in enumerate(tr_kids) if kb]
-            if len(nonempty) < 2:
+    def attach(self, out, acc, max_b, misc, leaves, path) -> list[dict]:
+        base = self.key(misc, leaves, path)
+        if acc is None:
+            if max_b >= 1:
+                slot = out[1]
+                slot[base] = slot.get(base, 0) + 1
+            return out
+        for b in range(min(len(acc), max_b)):
+            d = acc[b]
+            if not d:
                 continue
-            te_kids = (
-                [te_bits & m for m in te.value_mask[f]]
-                if te is not None
-                else [0] * len(tr_kids)
-            )
-            pop_kids = (
-                [pop_bits & m for m in pop_masks[f]]
-                if use_path
-                else [0] * len(tr_kids)
-            )
-            child_usable = usable & ~(1 << f)
-            misc_off = 0
-            leaves_off = 0
-            maj = None
-            acc = None
-            for v, kb in enumerate(tr_kids):
-                if not kb:
-                    if maj is None:
-                        maj = tr.majority(tr_bits)
-                    misc_off += leaf_misc(te_kids[v], maj)
-                    leaves_off += 1
-                    continue
-                sole = tr.sole_class(kb)
-                if sole is not None:
-                    misc_off += leaf_misc(te_kids[v], sole)
-                    leaves_off += 1
-                    continue
-                part = solve(kb, te_kids[v], pop_kids[v], child_usable)
-                acc = part if acc is None else convolve(acc, part)
-            base = make_key(misc_off, leaves_off, node_pop)
-            if acc is None:
-                if max_b >= 1:
-                    slot = out[1]
-                    slot[base] = slot.get(base, 0) + 1
-                continue
-            for b in range(min(len(acc), max_b)):
-                d = acc[b]
-                if not d:
-                    continue
-                slot = out[b + 1]
-                for k, c in d.items():
-                    kk = key_add(k, base)
-                    slot[kk] = slot.get(kk, 0) + c
-        memo[key] = out
+            slot = out[b + 1]
+            for k, c in d.items():
+                kk = _key_add(k, base)
+                slot[kk] = slot.get(kk, 0) + c
         return out
 
-    te_full = te.full if te is not None else 0
-    te_weight = te.grand_total if te is not None else 0
-    sole = tr.sole_class(tr.full)
-    buckets: dict[int, CardinalityBucket] = {}
-
-    def bucket_from(c: int, d: dict) -> None:
-        b = CardinalityBucket(
-            error_hist={} if (track.error_hist and te is not None) else None,
-            leaf_hist={} if use_leaves else None,
-            path_tests_total=0 if use_path else None,
-        )
-        for k, cnt in d.items():
-            misc = k[0]
-            b.tree_count += cnt
-            b.misclassified_total += misc * cnt
-            if misc == 0:
-                b.correct_count += cnt
-            if b.error_hist is not None:
-                b.error_hist[misc] = b.error_hist.get(misc, 0) + cnt
-            pos = 1
-            if use_leaves:
-                leaves = k[pos]
-                pos += 1
-                b.leaf_hist[leaves] = b.leaf_hist.get(leaves, 0) + cnt
-            if use_path:
-                b.path_tests_total += k[pos] * cnt
-            if bins is not None:
-                slot = bins.setdefault(_path_bin(k[pos], len(population), track.path_bins), [0, 0])
-                slot[0] += cnt
-                slot[1] += misc * cnt
-        if b.tree_count:
-            buckets[c] = b
-
-    if sole is not None:
-        misc = leaf_misc(te_full, sole)
-        bucket_from(0, {make_key(misc, 1, 0): 1})
-    else:
-        table = solve(tr.full, te_full, pop_full, all_features)
+    def tables(self, table: list[dict]):
+        buckets: dict[int, CardinalityBucket] = {}
+        bins: dict[int, list[int]] | None = {} if self.width is not None else None
         for c, d in enumerate(table):
-            if d:
-                bucket_from(c, d)
-    return ForestSummary(
-        buckets=buckets,
-        test_weight=te_weight,
-        population_size=len(population) if population is not None and use_path else None,
-        path_bin_width=track.path_bins,
-        path_bins=bins,
-    )
+            b = CardinalityBucket(
+                error_hist={} if self.error_hist else None,
+                leaf_hist={} if self.use_leaves else None,
+                path_tests_total=0 if self.use_path else None,
+            )
+            for k, cnt in d.items():
+                misc = k[0]
+                b.tree_count += cnt
+                b.misclassified_total += misc * cnt
+                if misc == 0:
+                    b.correct_count += cnt
+                if b.error_hist is not None:
+                    b.error_hist[misc] = b.error_hist.get(misc, 0) + cnt
+                pos = 1
+                if self.use_leaves:
+                    leaves = k[pos]
+                    pos += 1
+                    b.leaf_hist[leaves] = b.leaf_hist.get(leaves, 0) + cnt
+                if self.use_path:
+                    b.path_tests_total += k[pos] * cnt
+                if bins is not None:
+                    slot = bins.setdefault(_path_bin(k[pos], self.npop, self.width), [0, 0])
+                    slot[0] += cnt
+                    slot[1] += misc * cnt
+            if b.tree_count:
+                buckets[c] = b
+        return buckets, bins
+
+
+class _MinSizeAlgebra:
+    """Min-plus: the fewest splits of any consistent tree, inf when none."""
+
+    limit = math.inf
+
+    def zero(self):
+        return math.inf
+
+    def leaf(self, misc: int) -> int:
+        return 0
+
+    def mul(self, a, b):
+        return a + b
+
+    def attach(self, out, acc, max_b, misc, leaves, path):
+        size = 1 if acc is None else 1 + acc
+        return min(out, size) if size <= max_b else out
 
 
 # ------------------------------------------------------------- min size
 
 def min_consistent_size(train: Dataset, max_nodes: int | None = None) -> int | None:
-    """Smallest split budget admitting a consistent tree, by deepening.
+    """Smallest split budget admitting a consistent tree, in one min-plus pass.
 
     Returns None when no consistent tree exists within the cap (including
     the infeasible-data case, where none exists at any size).
@@ -953,12 +926,5 @@ def min_consistent_size(train: Dataset, max_nodes: int | None = None) -> int | N
         raise ValueError("training set is empty")
     hard = r.n - 1
     cap = hard if max_nodes is None else min(max_nodes, hard)
-    counting = TrackOptions(error_hist=False)
-    for budget in range(cap + 1):
-        try:
-            summary = _algebraic_sums(r, None, budget)
-        except _Overflow:
-            summary = _algebraic_dict(r, None, budget, None, counting)
-        if summary.total_trees:
-            return summary.min_size
-    return None
+    size = _solve(_MinSizeAlgebra(), r, _Router(Dataset(train.schema, ())), None, cap)
+    return size if size <= cap else None

@@ -32,7 +32,7 @@ from forestscope import (
 from forestscope import FeatureSchema, check_structure
 from forestscope.rng import SplitMix64
 
-from conftest import table_dataset
+from conftest import subset_dataset, table_dataset
 
 
 def canon(trees, schema):
@@ -321,3 +321,59 @@ def test_no_duplicate_canonical_forms_and_classification_match():
         for ex in train.examples:
             assert classify(t, ex.instance) == ex.label
     assert len(seen) > 1000
+
+
+def test_population_without_path_tracking_gives_the_same_summary_on_both_routes():
+    data = apply_concept(get_concept("xyz-or-ab"))
+    train, test = split_disjoint(data, 20, SplitMix64(3))
+    pop = list(instance_space(data.schema))
+    lim = EnumerationLimits(max_nodes=6)
+    a = forest_summary(train, test, lim, pop, mode="stream")
+    b = forest_summary(train, test, lim, pop, mode="algebraic")
+    assert b.population_size == len(pop)
+    assert a == b
+
+
+def test_int64_profiles_stay_exact_past_two_to_the_62():
+    # 56 distinct rows of an 8-feature space: counts pass 2^62 by far, so
+    # both int64 routes must hand over to the exact one before wrapping
+    schema = binary_schema([f"f{i}" for i in range(8)])
+    space = list(instance_space(schema))
+    r = SplitMix64(0)
+    rows = [space[i] for i in r.sample_indices(len(space), 56)]
+    train = Dataset(schema, tuple(LabeledExample(x, r.below(2)) for x in rows))
+    test = Dataset(schema, tuple(LabeledExample(x, r.below(2)) for x in space[:16]))
+    lim = EnumerationLimits(max_trees=0)
+    exact = forest_summary(train, test, lim, track=TrackOptions(leaf_hist=True))
+    hist = forest_summary(train, test, lim)
+    sums = forest_summary(train, test, lim, track=TrackOptions(error_hist=False))
+    assert max(b.tree_count for b in exact.buckets.values()) > 2**62
+    assert hist.buckets.keys() == sums.buckets.keys() == exact.buckets.keys()
+    for c, b in exact.buckets.items():
+        want = (b.tree_count, b.correct_count, b.misclassified_total)
+        h, s = hist.buckets[c], sums.buckets[c]
+        assert (h.tree_count, h.correct_count, h.misclassified_total) == want
+        assert h.error_hist == b.error_hist
+        assert (s.tree_count, s.correct_count, s.misclassified_total) == want
+
+
+@pytest.mark.property_based
+@given(st.integers(0, 2**32), st.sampled_from([None, 0, 1, 2, 3]))
+@settings(max_examples=200, deadline=None)
+def test_min_consistent_size_matches_the_naive_oracle(seed, cap):
+    r = SplitMix64(seed)
+    schema = binary_schema(["a", "b", "c"][: 2 + r.below(2)])
+    pairs = []
+    for x in instance_space(schema):
+        label = r.below(2)
+        for _ in range(r.below(3)):  # dropped, kept or duplicated
+            pairs.append((x, label))
+    if not pairs:
+        pairs.append((next(instance_space(schema)), 0))
+    if r.below(4) == 0:
+        x, label = pairs[r.below(len(pairs))]
+        pairs.append((x, 1 - label))
+    data = subset_dataset(schema, pairs)
+    trees = enumerate_naive(data, EnumerationLimits(max_nodes=cap))
+    want = min(node_count(t) for t in trees) if trees else None
+    assert min_consistent_size(data, cap) == want
