@@ -58,6 +58,25 @@ def _fail(code: int, category: str, message: str) -> int:
     return code
 
 
+def _int_at_least(text: str, minimum: int) -> int:
+    """argparse type body: an int no smaller than `minimum` (else exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+    return value
+
+
+def _non_negative(text: str) -> int:
+    return _int_at_least(text, 0)
+
+
+def _positive(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
 def _load_data_arg(args) -> Dataset:
     if getattr(args, "concept", None):
         return apply_concept(get_concept(args.concept))
@@ -106,6 +125,8 @@ def _cmd_enumerate(args) -> int:
         data = _load_data_arg(args)
     except (OSError, DatasetError) as e:
         return _fail(EXIT_DATA, "data", str(e))
+    if not data.examples:
+        return _fail(EXIT_DATA, "data", "the training set has no examples")
     limits = EnumerationLimits(max_nodes=args.max_nodes, max_trees=args.max_trees)
     counts: dict[int, int] = {}
     try:
@@ -306,8 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="count (or dump) consistent trees")
     p.add_argument("--concept", help="built-in concept name")
     p.add_argument("--data", help="dataset file")
-    p.add_argument("--max-nodes", type=int, default=None, help="split budget")
-    p.add_argument("--max-trees", type=int, default=50_000_000, help="safety cap")
+    p.add_argument("--max-nodes", type=_non_negative, default=None, help="split budget")
+    p.add_argument(
+        "--max-trees", type=_non_negative, default=50_000_000, help="safety cap, 0 = none"
+    )
     p.add_argument("--emit-trees", action="store_true", help="print each tree")
     p.set_defaults(fn=_cmd_enumerate)
 
@@ -321,14 +344,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="dataset file (required by fig15)")
     p.add_argument("--concept", help="concept for a custom experiment")
     p.add_argument("--n-train", type=int, default=None, help="custom: train size")
-    p.add_argument("--test-size", type=int, default=None, help="custom: with-replacement test size")
+    p.add_argument(
+        "--test-size", type=_positive, default=None, help="custom: with-replacement test size"
+    )
     p.add_argument(
         "--split",
         choices=("disjoint", "with_replacement", "leave_one_out"),
         default="disjoint",
         help="custom: sampling protocol",
     )
-    p.add_argument("--max-nodes", type=int, default=None, help="custom: split budget")
+    p.add_argument("--max-nodes", type=_non_negative, default=None, help="custom: split budget")
     p.add_argument("--all-legs", action="store_true", help="include optional legs")
     p.add_argument("--quiet", action="store_true", help="no per-trial progress lines")
     p.set_defaults(fn=_cmd_experiment)
@@ -337,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", type=int, default=3, help="binary features (1..4)")
     p.add_argument("--labelings", type=int, default=50, help="random labelings to try")
     p.add_argument("--seed", type=int, default=0, help="labeling seed")
-    p.add_argument("--max-nodes", type=int, default=None, help="split budget")
+    p.add_argument("--max-nodes", type=_non_negative, default=None, help="split budget")
     p.set_defaults(fn=_cmd_oracle_check)
 
     p = sub.add_parser("policy", help="derive the size policy from a record dump")

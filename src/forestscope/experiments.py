@@ -106,10 +106,14 @@ class ExperimentConfig:
                 raise ExperimentError(f"leg {leg.label!r}: trial_count must be >= 1")
             if leg.n_train < 1:
                 raise ExperimentError(f"leg {leg.label!r}: n_train must be >= 1")
+            if leg.max_nodes is not None and leg.max_nodes < 0:
+                raise ExperimentError(f"leg {leg.label!r}: max_nodes must be >= 0")
         if self.split_mode not in _SPLIT_MODES:
             raise ExperimentError(f"unknown split_mode {self.split_mode!r}")
         if (self.test_size is not None) != (self.split_mode == "with_replacement"):
             raise ExperimentError("test_size is required by (and only by) with_replacement")
+        if self.test_size is not None and self.test_size < 1:
+            raise ExperimentError("test_size must be >= 1")
         if self.filter_mode not in _FILTER_MODES:
             raise ExperimentError(f"unknown filter_mode {self.filter_mode!r}")
         if self.filter_mode != "none" and self.split_mode != "disjoint":

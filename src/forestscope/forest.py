@@ -19,22 +19,22 @@ Three routes to the same forest live here, on purpose:
   `tree`.  Kept deliberately independent of the search enumerator; bounded
   to small schemas.
 * `forest_summary`: per-cardinality accumulation without storing trees.
-  The algebraic mode is one recursion, four algebras: `_solve` memoizes
+  The algebraic mode is one recursion, two algebras: `_solve` memoizes
   over (train, test, population, usable-feature) subproblems, multiplies
   the profiles of each split's open children and attaches the split with
   its closed leaves' (misclassified weight, leaves, path tests); what a
-  profile holds is the algebra's business.  `_HistAlgebra` and
-  `_SumsAlgebra` keep int64 tables under an overflow bound checked before
-  every operation, `_JointAlgebra` keeps exact big-int counts keyed on the
-  tracked quantities (and serves when the bound trips), and
-  `_MinSizeAlgebra` is min-plus, giving `min_consistent_size` in one pass.
-  This is what makes thousand-trial runs affordable.  It serves every
-  request, path-length bins included: a tree's path-test total is additive
-  over its splits (each adds the population weight reaching it), so the
-  joint profile keys on it and bins each distinct total once.  The
-  streaming mode drives the search enumerator and measures each tree
-  directly; it runs only when asked for, as the oracle.  Tests hold the two
-  modes and the oracle to bucket-for-bucket agreement.
+  profile holds is the algebra's business.  `_CountAlgebra` keeps exact
+  Python-int tree counts keyed on one packed int per (splits,
+  misclassified weight, leaves, path tests), the last two only when
+  tracked, so no count is fixed-width and none can wrap; `_MinSizeAlgebra`
+  is min-plus, giving `min_consistent_size` in one pass.  This is what
+  makes thousand-trial runs affordable.  It serves every request,
+  path-length bins included: a tree's path-test total is additive over its
+  splits (each adds the population weight reaching it), so the key carries
+  it and each distinct total is binned once.  The streaming mode drives
+  the search enumerator and measures each tree directly; it runs only when
+  asked for, as the oracle.  Tests hold the two modes and the oracle to
+  bucket-for-bucket agreement.
 
 Budgets count splits.  `max_nodes=None` means no explicit cap, which is
 effectively (distinct training instances - 1): no consistent tree can use
@@ -51,13 +51,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
 
-import numpy as np
-
 from . import tree as treemod
 from .dataset import Dataset, LabeledExample
 from .tree import Leaf, Node, Split
-
-_OVERFLOW_LIMIT = 1 << 62
 
 
 class EnumerationTruncated(Exception):
@@ -401,13 +397,13 @@ class TrackOptions:
     """What per-cardinality detail a summary carries.
 
     error_hist: histogram of misclassified test weight per tree (needed by
-        pairwise statistics).  Off = exact sums only, which is cheaper when
-        the test multiset is large.
+        pairwise statistics).  Off = the buckets carry only the exact
+        tree, correct and misclassified totals; the work is the same.
     leaf_hist: histogram of leaf counts per tree.
     path_length: total split-traversals over the population, summed over
         trees (enables mean path length per cardinality).
     path_bins: histogram bin width for per-tree average path length over
-        the population; computed by the exact big-int algebraic profile.
+        the population; computed from the exact algebraic profile.
     """
 
     error_hist: bool = True
@@ -543,36 +539,23 @@ def _summary_stream(train, test, limits, population, track) -> ForestSummary:
     )
 
 
-class _Overflow(Exception):
-    pass
-
-
 def _summary_algebraic(train, test, limits, population, track) -> ForestSummary:
     tr = _Router(train)
     if tr.n == 0:
         raise ValueError("training set is empty")
     te = _Router(test if test is not None else Dataset(train.schema, ()))
     cap = _effective_cap(limits, tr)
-    error_hist = track.error_hist and test is not None
     npop = len(population) if population is not None else None
-    joint = _JointAlgebra(cap, track, error_hist, npop)
+    alg = _CountAlgebra(
+        cap, te.grand_total, max(tr.arities), track, track.error_hist and test is not None, npop
+    )
     # the population is a label-0 multiset, routed like the training set
     pop = (
         _Router(Dataset(train.schema, tuple(LabeledExample(inst, 0) for inst in population)))
-        if joint.use_path
+        if alg.use_path
         else None
     )
-    if joint.use_leaves or joint.use_path:
-        alg = joint
-    elif error_hist:
-        alg = _HistAlgebra(cap, te.grand_total)
-    else:
-        alg = _SumsAlgebra(cap, te.grand_total)
-    try:
-        buckets, bins = alg.tables(_solve(alg, tr, te, pop, cap))
-    except _Overflow:
-        # exact big-int route; slower, never wraps
-        buckets, bins = joint.tables(_solve(joint, tr, te, pop, cap))
+    buckets, bins = alg.tables(_solve(alg, tr, te, pop, cap))
     summary = ForestSummary(
         buckets=buckets,
         test_weight=te.grand_total,
@@ -593,26 +576,18 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None, cap: int):
     masks out of the per-split loop.  Each split multiplies its open
     children's profiles (`alg.mul`) and is attached with its closed leaves'
     misclassified test weight, leaf count and path tests (`alg.attach`).
-
-    Next to each memoized profile the recursion keeps, in Python ints, an
-    upper bound on its tree total: a product's bound is the product of
-    bounds, a node's is the sum over its splits, an all-leaves split
-    counting 1.  `_Overflow` is raised before any product or attach whose
-    bound passes `alg.limit`, so a fixed-width table never wraps.
     """
     sole = tr.sole_class(tr.full)
     if sole is not None:
         return alg.leaf(te.wrong_weight(te.full, sole))
-    limit = alg.limit
-    memo: dict[tuple[int, int, int, int], tuple] = {}
+    memo: dict[tuple[int, int, int, int], object] = {}
 
-    def solve(tr_bits: int, te_bits: int, pop_bits: int, usable: int) -> tuple:
+    def solve(tr_bits: int, te_bits: int, pop_bits: int, usable: int):
         key = (tr_bits, te_bits, pop_bits, usable)
         got = memo.get(key)
         if got is not None:
             return got
         out = alg.zero()
-        total = 0
         max_b = min(cap, tr_bits.bit_count() - 1)
         path = pop.weight(pop_bits) if pop is not None else 0
         for f in _iter_bits(usable):
@@ -626,7 +601,6 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None, cap: int):
             misc = leaves = 0
             maj = None
             acc = None
-            bound = 1
             for v, kb in enumerate(tr_kids):
                 if not kb:
                     if te_kids[v]:
@@ -640,22 +614,14 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None, cap: int):
                     misc += te.wrong_weight(te_kids[v], sole)
                     leaves += 1
                     continue
-                part, part_bound = solve(
-                    kb, te_kids[v], pop_kids[v] if pop is not None else 0, child_usable
-                )
-                bound *= part_bound
-                if bound > limit:
-                    raise _Overflow
+                part = solve(kb, te_kids[v], pop_kids[v] if pop is not None else 0, child_usable)
                 acc = part if acc is None else alg.mul(acc, part)
-            total += bound
-            if total > limit:
-                raise _Overflow
             out = alg.attach(out, acc, max_b, misc, leaves, path)
-        memo[key] = got = (out, total)
-        return got
+        memo[key] = out
+        return out
 
     all_features = (1 << len(tr.arities)) - 1
-    return solve(tr.full, te.full, pop.full if pop is not None else 0, all_features)[0]
+    return solve(tr.full, te.full, pop.full if pop is not None else 0, all_features)
 
 
 # Algebras.  zero() is the profile of no trees and leaf(misc) that of the
@@ -663,241 +629,125 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None, cap: int):
 # either); attach(out, acc, max_b, misc, leaves, path) adds to `out` the
 # trees of one split whose open children multiplied to `acc` (None when
 # every child is a closed leaf), one split deeper, within `max_b` splits;
-# tables(profile) gives the summary's buckets and path bins.
+# tables(profile) gives the summary's buckets and path bins.  Two algebras:
+# `_CountAlgebra` counts trees exactly in Python ints, `_MinSizeAlgebra`
+# is min-plus.
 
 
-class _HistAlgebra:
-    """Per budget, a histogram of misclassified test weight: int64 [cap+1, W+1]."""
+class _CountAlgebra:
+    """Exact tree counts keyed on a packed int: a dict key -> tree count.
 
-    limit = _OVERFLOW_LIMIT
-
-    def __init__(self, cap: int, test_weight: int):
-        self.cap = cap
-        self.wdim = test_weight + 1
-
-    def zero(self) -> np.ndarray:
-        return np.zeros((self.cap + 1, self.wdim), dtype=np.int64)
-
-    def leaf(self, misc: int) -> np.ndarray:
-        out = self.zero()
-        out[0, misc] = 1
-        return out
-
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if np.count_nonzero(a) > np.count_nonzero(b):
-            a, b = b, a
-        hb, wb = b.shape
-        out = np.zeros((min(a.shape[0] + hb - 1, self.cap + 1), self.wdim), dtype=np.int64)
-        oh, ow = out.shape
-        for i, j in np.argwhere(a):
-            v = a[i, j]
-            bh = min(hb, oh - i)
-            bw = min(wb, ow - j)
-            if bh > 0 and bw > 0:
-                out[i : i + bh, j : j + bw] += v * b[:bh, :bw]
-        return out
-
-    def attach(self, out, acc, max_b, misc, leaves, path) -> np.ndarray:
-        if acc is None:
-            if max_b >= 1:
-                out[1, misc] += 1
-            return out
-        h = min(acc.shape[0], max_b)
-        if h > 0 and misc < self.wdim:
-            out[1 : 1 + h, misc:] += acc[:h, : self.wdim - misc]
-        return out
-
-    def tables(self, table: np.ndarray):
-        buckets: dict[int, CardinalityBucket] = {}
-        for c in range(table.shape[0]):
-            row = table[c]
-            nz = np.nonzero(row)[0]
-            if nz.size == 0:
-                continue
-            hist = {int(m): int(row[m]) for m in nz}
-            buckets[c] = CardinalityBucket(
-                tree_count=int(row.sum()),
-                correct_count=hist.get(0, 0),
-                misclassified_total=int((nz * row[nz]).sum()),
-                error_hist=hist,
-            )
-        return buckets, None
-
-
-class _SumsAlgebra:
-    """Per budget: (tree_count, misclassified_total, correct_count), int64."""
-
-    def __init__(self, cap: int, test_weight: int):
-        self.cap = cap
-        # the misclassified sums reach tree total * test weight
-        self.limit = _OVERFLOW_LIMIT // max(1, test_weight)
-
-    def zero(self):
-        n = self.cap + 1
-        return (
-            np.zeros(n, dtype=np.int64),
-            np.zeros(n, dtype=np.int64),
-            np.zeros(n, dtype=np.int64),
-        )
-
-    def leaf(self, misc: int):
-        cnt, msum, corr = self.zero()
-        cnt[0] = 1
-        msum[0] = misc
-        corr[0] = misc == 0
-        return cnt, msum, corr
-
-    def mul(self, a, b):
-        n = self.cap + 1
-        c0, m0, z0 = a
-        c1, m1, z1 = b
-        return (
-            np.convolve(c0, c1)[:n],
-            np.convolve(c0, m1)[:n] + np.convolve(m0, c1)[:n],
-            np.convolve(z0, z1)[:n],
-        )
-
-    def attach(self, out, acc, max_b, misc, leaves, path):
-        cnt, msum, corr = out
-        if acc is None:
-            if max_b >= 1:
-                cnt[1] += 1
-                msum[1] += misc
-                if misc == 0:
-                    corr[1] += 1
-            return out
-        c0, m0, z0 = acc
-        h = min(len(c0), max_b)
-        cnt[1 : 1 + h] += c0[:h]
-        msum[1 : 1 + h] += m0[:h] + misc * c0[:h]
-        if misc == 0:
-            corr[1 : 1 + h] += z0[:h]
-        return out
-
-    def tables(self, profile):
-        cnt, msum, corr = profile
-        buckets = {
-            c: CardinalityBucket(
-                tree_count=int(cnt[c]),
-                correct_count=int(corr[c]),
-                misclassified_total=int(msum[c]),
-            )
-            for c in range(self.cap + 1)
-            if cnt[c]
-        }
-        return buckets, None
-
-
-def _key_add(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-class _JointAlgebra:
-    """Per budget, exact big-int tree counts keyed on (misc, leaves, path_tests).
-
-    Only the tracked parts enter the key.  Slow but assumption-free; also
-    the overflow fallback for the int64 algebras.  Path bins come from the
-    path_tests key, one bin lookup per distinct total.
+    A key packs disjoint bit fields, from the top down: splits,
+    misclassified test weight, then leaf count and path-test total, each of
+    the last two only when tracked.  Below the splits every field is wide
+    enough for any tree within the cap: misc <= test weight, leaves <=
+    (cap+1) * max arity, path tests <= (cap+1) * population size.  So
+    adding the keys of parts of a tree within the cap never carries from
+    one field into the next, and a key of more splits than the cap stays
+    at or above (cap+1) << split_shift whatever carries below; "within
+    budget b" is just `key < (b+1) << split_shift`.
     """
 
-    limit = math.inf
-
-    def __init__(self, cap: int, track: TrackOptions, error_hist: bool, npop: int | None):
-        self.cap = cap
+    def __init__(
+        self,
+        cap: int,
+        test_weight: int,
+        max_arity: int,
+        track: TrackOptions,
+        error_hist: bool,
+        npop: int | None,
+    ):
         self.error_hist = error_hist
         self.use_leaves = track.leaf_hist
         self.use_path = track.path_length or track.path_bins is not None
         self.width = track.path_bins
         self.npop = npop
+        path_bits = ((cap + 1) * npop).bit_length() if self.use_path else 0
+        leaf_bits = ((cap + 1) * max_arity).bit_length() if self.use_leaves else 0
+        self.leaf_shift = path_bits
+        self.misc_shift = path_bits + leaf_bits
+        self.split_shift = self.misc_shift + test_weight.bit_length()
+        self.path_mask = (1 << path_bits) - 1
+        self.leaf_mask = (1 << leaf_bits) - 1
+        self.misc_mask = (1 << test_weight.bit_length()) - 1
+        # a split's open children together hold at most cap - 1 splits
+        self.child_limit = cap << self.split_shift
 
-    def key(self, misc: int, leaves: int, path: int) -> tuple:
-        key = [misc]
+    def key(self, splits: int, misc: int, leaves: int, path: int) -> int:
+        key = (splits << self.split_shift) + (misc << self.misc_shift)
         if self.use_leaves:
-            key.append(leaves)
+            key += leaves << self.leaf_shift
         if self.use_path:
-            key.append(path)
-        return tuple(key)
+            key += path
+        return key
 
-    def zero(self) -> list[dict]:
-        return [dict() for _ in range(self.cap + 1)]
+    def zero(self) -> dict[int, int]:
+        return {}
 
-    def leaf(self, misc: int) -> list[dict]:
-        out = self.zero()
-        out[0][self.key(misc, 1, 0)] = 1
+    def leaf(self, misc: int) -> dict[int, int]:
+        return {self.key(0, misc, 1, 0): 1}
+
+    def mul(self, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+        limit = self.child_limit
+        out: dict[int, int] = {}
+        get = out.get
+        items = b.items()
+        for k1, c1 in a.items():
+            room = limit - k1
+            for k2, c2 in items:
+                if k2 < room:
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
         return out
 
-    def mul(self, a: list[dict], b: list[dict]) -> list[dict]:
-        cap = self.cap
-        out = self.zero()
-        for b1, d1 in enumerate(a):
-            if not d1:
-                continue
-            for b2, d2 in enumerate(b):
-                if b1 + b2 > cap:
-                    break
-                if not d2:
-                    continue
-                slot = out[b1 + b2]
-                for k1, c1 in d1.items():
-                    for k2, c2 in d2.items():
-                        k = _key_add(k1, k2)
-                        slot[k] = slot.get(k, 0) + c1 * c2
-        return out
-
-    def attach(self, out, acc, max_b, misc, leaves, path) -> list[dict]:
-        base = self.key(misc, leaves, path)
+    def attach(self, out, acc, max_b, misc, leaves, path) -> dict[int, int]:
+        base = self.key(1, misc, leaves, path)
         if acc is None:
             if max_b >= 1:
-                slot = out[1]
-                slot[base] = slot.get(base, 0) + 1
+                out[base] = out.get(base, 0) + 1
             return out
-        for b in range(min(len(acc), max_b)):
-            d = acc[b]
-            if not d:
-                continue
-            slot = out[b + 1]
-            for k, c in d.items():
-                kk = _key_add(k, base)
-                slot[kk] = slot.get(kk, 0) + c
+        limit = max_b << self.split_shift
+        get = out.get
+        for k, c in acc.items():
+            if k < limit:
+                k += base
+                out[k] = get(k, 0) + c
         return out
 
-    def tables(self, table: list[dict]):
+    def tables(self, profile: dict[int, int]):
         buckets: dict[int, CardinalityBucket] = {}
         bins: dict[int, list[int]] | None = {} if self.width is not None else None
-        for c, d in enumerate(table):
-            b = CardinalityBucket(
-                error_hist={} if self.error_hist else None,
-                leaf_hist={} if self.use_leaves else None,
-                path_tests_total=0 if self.use_path else None,
-            )
-            for k, cnt in d.items():
-                misc = k[0]
-                b.tree_count += cnt
-                b.misclassified_total += misc * cnt
-                if misc == 0:
-                    b.correct_count += cnt
-                if b.error_hist is not None:
-                    b.error_hist[misc] = b.error_hist.get(misc, 0) + cnt
-                pos = 1
-                if self.use_leaves:
-                    leaves = k[pos]
-                    pos += 1
-                    b.leaf_hist[leaves] = b.leaf_hist.get(leaves, 0) + cnt
-                if self.use_path:
-                    b.path_tests_total += k[pos] * cnt
+        for k, cnt in sorted(profile.items()):
+            c = k >> self.split_shift
+            b = buckets.get(c)
+            if b is None:
+                b = buckets[c] = CardinalityBucket(
+                    error_hist={} if self.error_hist else None,
+                    leaf_hist={} if self.use_leaves else None,
+                    path_tests_total=0 if self.use_path else None,
+                )
+            misc = (k >> self.misc_shift) & self.misc_mask
+            b.tree_count += cnt
+            b.misclassified_total += misc * cnt
+            if misc == 0:
+                b.correct_count += cnt
+            if b.error_hist is not None:
+                b.error_hist[misc] = b.error_hist.get(misc, 0) + cnt
+            if self.use_leaves:
+                leaves = (k >> self.leaf_shift) & self.leaf_mask
+                b.leaf_hist[leaves] = b.leaf_hist.get(leaves, 0) + cnt
+            if self.use_path:
+                path = k & self.path_mask
+                b.path_tests_total += path * cnt
                 if bins is not None:
-                    slot = bins.setdefault(_path_bin(k[pos], self.npop, self.width), [0, 0])
+                    slot = bins.setdefault(_path_bin(path, self.npop, self.width), [0, 0])
                     slot[0] += cnt
                     slot[1] += misc * cnt
-            if b.tree_count:
-                buckets[c] = b
         return buckets, bins
 
 
 class _MinSizeAlgebra:
     """Min-plus: the fewest splits of any consistent tree, inf when none."""
-
-    limit = math.inf
 
     def zero(self):
         return math.inf

@@ -107,6 +107,55 @@ def test_usage_errors_exit_2():
     assert e.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["enumerate", "--concept", "ab", "--max-nodes", "-1"], EXIT_USAGE),
+        (["enumerate", "--concept", "ab", "--max-trees", "-1"], EXIT_USAGE),
+        (["oracle-check", "--max-nodes", "-2"], EXIT_USAGE),
+        (["experiment", "--concept", "ab", "--n-train", "10", "--max-nodes", "-1"], EXIT_USAGE),
+        (
+            ["experiment", "--concept", "ab", "--split", "with_replacement",
+             "--n-train", "5", "--test-size", "0"],
+            EXIT_USAGE,
+        ),
+        (
+            ["experiment", "--concept", "ab", "--split", "with_replacement",
+             "--n-train", "5", "--test-size", "-3"],
+            EXIT_USAGE,
+        ),
+        (["enumerate", "--data", "HEADER_ONLY"], EXIT_DATA),
+    ],
+)
+def test_bad_integers_and_empty_data_exit_without_a_traceback(tmp_path, capsys, argv, want):
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("a=0|1,class=n|y\n", encoding="utf-8")
+    argv = [str(header_only) if a == "HEADER_ONLY" else a for a in argv]
+    if argv[0] == "experiment":
+        argv += ["--out", str(tmp_path / "run"), "--threads", "1", "--quiet"]
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse rejects usage errors by exiting
+        code = e.code
+    err = capsys.readouterr().err
+    assert code == want
+    assert "Traceback" not in err
+    assert "error:" in err
+
+
+def test_import_pulls_in_no_numpy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SOURCE_ROOT), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, forestscope; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_experiment_writes_run_directory(tmp_path, capsys):
     out_dir = tmp_path / "run"
     code, out, err = run_main(

@@ -60,6 +60,12 @@ def test_config_validation_rejects_bad_combinations():
         small_config(analyses=("histograms",))
     with pytest.raises(ExperimentError):
         small_config(split_mode="sideways")
+    # caught when the config is built, not inside the trials
+    with pytest.raises(ExperimentError):
+        small_config(legs=(LegSpec(label="", n_train=20, trial_count=6, max_nodes=-1),))
+    for size in (0, -3):
+        with pytest.raises(ExperimentError):
+            small_config(split_mode="with_replacement", test_size=size)
 
 
 def test_resolve_source_schemes(tmp_path):

@@ -14,6 +14,7 @@ from forestscope import (
     TrackOptions,
     apply_concept,
     binary_schema,
+    bundled_dataset,
     classify,
     enumerate_consistent,
     enumerate_naive,
@@ -23,6 +24,7 @@ from forestscope import (
     instance_space,
     is_consistent,
     iter_consistent,
+    leaf_count,
     metrics,
     min_consistent_size,
     node_count,
@@ -377,3 +379,65 @@ def test_min_consistent_size_matches_the_naive_oracle(seed, cap):
     trees = enumerate_naive(data, EnumerationLimits(max_nodes=cap))
     want = min(node_count(t) for t in trees) if trees else None
     assert min_consistent_size(data, cap) == want
+
+
+_LENSES_TRACKS = {
+    "hist": TrackOptions(),
+    "sums": TrackOptions(error_hist=False),
+    "leaves-paths": TrackOptions(leaf_hist=True, path_length=True, path_bins=0.25),
+}
+
+
+@pytest.mark.property_based
+@given(
+    st.integers(0, 2**32),
+    st.booleans(),
+    st.sampled_from([None, 2, 4, 6]),
+    st.sampled_from(sorted(_LENSES_TRACKS)),
+)
+@settings(max_examples=400, deadline=None)
+def test_stream_and_algebraic_agree_on_lenses(seed, with_replacement, cap, tracking):
+    # a 3-valued feature (empty branches, wider leaf counts), 3 classes, and
+    # with-replacement draws whose duplicate rows weigh on every count
+    data = bundled_dataset("lenses")
+    r = SplitMix64(seed)
+    if with_replacement:
+        train = sample_with_replacement(data, 4 + r.below(12), r)
+        test = sample_with_replacement(data, 1 + r.below(24), r)
+    else:
+        train, test = split_disjoint(data, 4 + r.below(12), r)
+    track = _LENSES_TRACKS[tracking]
+    pop = list(instance_space(data.schema)) if track.path_length else None
+    lim = EnumerationLimits(max_nodes=cap)
+    a = forest_summary(train, test, lim, pop, track, mode="stream")
+    b = forest_summary(train, test, lim, pop, track, mode="algebraic")
+    assert a == b
+
+
+@pytest.mark.property_based
+@given(st.integers(0, 2**32), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_mixed_arity_forest_matches_the_naive_oracle(seed, cap):
+    schema = FeatureSchema(
+        features=(("a", ("0", "1", "2")), ("b", ("0", "1")), ("c", ("0", "1"))),
+        classes=("x", "y", "z"),
+    )
+    r = SplitMix64(seed)
+    pairs = []
+    for x in instance_space(schema):
+        label = r.below(3)
+        for _ in range(r.below(3)):  # dropped, kept or duplicated
+            pairs.append((x, label))
+    if not pairs:
+        pairs.append((next(instance_space(schema)), r.below(3)))
+    data = subset_dataset(schema, pairs)
+    lim = EnumerationLimits(max_nodes=cap)
+    naive = enumerate_naive(data, lim)
+    assert canon(iter_consistent(data, lim), schema) == canon(naive, schema)
+    summary = forest_summary(data, None, lim, track=TrackOptions(leaf_hist=True))
+    assert summary.total_trees == len(naive)
+    leaf_hists: dict[int, dict[int, int]] = {}
+    for t in naive:
+        h = leaf_hists.setdefault(node_count(t), {})
+        h[leaf_count(t)] = h.get(leaf_count(t), 0) + 1
+    assert {c: b.leaf_hist for c, b in summary.buckets.items()} == leaf_hists
