@@ -8,7 +8,6 @@ fixed palette, fixed tick logic, fixed number formatting), byte for byte.
 from __future__ import annotations
 
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 Point = tuple[float, float]
 Series = tuple[str, Sequence[Point]]
@@ -26,6 +25,11 @@ _PALETTE = (
 
 _W, _H = 760, 480
 _ML, _MR, _MT, _MB = 64, 16, 40, 48
+
+
+def _escape(text: str) -> str:
+    """XML character data: `&`, `<` and `>` as entities, quotes kept."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _nice_step(span: float, target: int = 6) -> float:
@@ -107,7 +111,7 @@ def line_chart(
         f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W / 2:.1f}" y="22" text-anchor="middle" font-size="15">'
-        f"{escape(title)}</text>",
+        f"{_escape(title)}</text>",
     ]
     for tx in _ticks(x_lo, x_hi):
         x = px(tx)
@@ -138,11 +142,11 @@ def line_chart(
     )
     parts.append(
         f'<text x="{_ML + plot_w / 2:.1f}" y="{_H - 10}" text-anchor="middle">'
-        f"{escape(x_label)}</text>"
+        f"{_escape(x_label)}</text>"
     )
     parts.append(
         f'<text x="16" y="{_MT + plot_h / 2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_MT + plot_h / 2:.1f})">{escape(y_label)}</text>'
+        f'transform="rotate(-90 16 {_MT + plot_h / 2:.1f})">{_escape(y_label)}</text>'
     )
     for i, (name, data) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
@@ -161,7 +165,7 @@ def line_chart(
             f'y2="{ly}" stroke="{color}" stroke-width="1.5"/>'
         )
         parts.append(
-            f'<text x="{_ML + plot_w - 124}" y="{ly + 4}">{escape(name)}</text>'
+            f'<text x="{_ML + plot_w - 124}" y="{ly + 4}">{_escape(name)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

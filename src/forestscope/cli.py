@@ -340,7 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None, help="override trials per leg")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--charts", action="store_true", help="also write SVG charts")
-    p.add_argument("--threads", type=int, default=None, help="worker processes")
+    p.add_argument(
+        "--threads", type=_non_negative, default=None,
+        help="worker processes (capped at the trial and CPU counts)",
+    )
     p.add_argument("--data", help="dataset file (required by fig15)")
     p.add_argument("--concept", help="concept for a custom experiment")
     p.add_argument("--n-train", type=int, default=None, help="custom: train size")

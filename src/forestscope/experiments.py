@@ -18,7 +18,6 @@ seed_scope so their trials are literally the same draws.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, replace
@@ -294,20 +293,27 @@ def run_trials(
     threads: int = 1,
     progress: Callable[[str, TrialRecord], None] | None = None,
 ) -> tuple[LegResult, ...]:
-    """Execute every leg's trials; results are identical for any `threads`."""
+    """Execute every leg's trials; results are identical for any `threads`.
+
+    At most `threads` worker processes start, and never more than there are
+    trials or CPUs; one worker runs the trials in this process.
+    """
     ctx = _prepare(config)
     jobs = [
         (li, t)
         for li, leg in enumerate(config.legs)
         for t in range(leg.trial_count)
     ]
-    if threads <= 1:
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
         records = (_run_one(ctx, li, t) for li, t in jobs)
         collected = _collect(config, jobs, records, progress)
     else:
-        chunk = max(1, len(jobs) // (threads * 8))
+        import multiprocessing  # here, so a serial run never loads it
+
+        chunk = max(1, len(jobs) // (workers * 8))
         with multiprocessing.Pool(
-            processes=threads, initializer=_worker_init, initargs=(config,)
+            processes=workers, initializer=_worker_init, initargs=(config,)
         ) as pool:
             stream = pool.imap(_worker_run, jobs, chunksize=chunk)
             collected = _collect(config, jobs, stream, progress)
@@ -366,15 +372,17 @@ def emit_all(
         if "min_size_groups" in config.analyses:
             for m, group in stats.group_by_min_size(used).items():
                 card_sections.append((f"{label}:min{m}", seed, group.rows))
+        pair_runs = []
         if "pairwise_all" in config.analyses:
-            pair_sections.append((label, seed, "all", "", stats.pairwise(used, "all")))
+            pair_runs.append(("all", None))
         if "pairwise_min" in config.analyses:
-            if config.pairwise_conditions:
-                for k in config.pairwise_conditions:
-                    rows = stats.pairwise(used, "min", min_size_in=(k,))
-                    pair_sections.append((label, seed, "min", str(k), rows))
-            else:
-                pair_sections.append((label, seed, "min", "", stats.pairwise(used, "min")))
+            pair_runs += [("min", k) for k in config.pairwise_conditions or (None,)]
+        if pair_runs:
+            # One set of vectors per leg serves every pairwise table.
+            tails = [stats._tail_vectors(t) for t in used]
+            for baseline, k in pair_runs:
+                rows = stats._pairwise(tails, baseline, None if k is None else (k,), "pair")
+                pair_sections.append((label, seed, baseline, "" if k is None else str(k), rows))
         if "policy" in config.analyses:
             policy_sections.append((label, seed, stats.derive_policy(used)))
         if "path_length" in config.analyses:

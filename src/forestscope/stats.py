@@ -10,6 +10,11 @@ Every trial carries its own test denominator.  Aggregation of error rates
 works across mixed denominators (rates are per-trial means), but pairwise
 comparison and path-length pooling need one shared denominator and refuse
 mixtures explicitly.
+
+Pairwise tallies come from dense per-trial vectors of error counts and
+error tails over every size (see `pairwise`): each size gap is a few dot
+products, not one histogram sweep per pair of sizes.  `emit_all` builds
+the vectors once per call and shares them among its pairwise tables.
 """
 
 from __future__ import annotations
@@ -18,8 +23,10 @@ import csv
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from statistics import fmean, stdev
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .forest import CardinalityBucket, ForestSummary
 
@@ -171,27 +178,42 @@ def group_by_min_size(trials: Sequence[TrialRecord]) -> dict[int, MinSizeGroup]:
     }
 
 
-def _pair_counts(h1: dict[int, int], h2: dict[int, int]) -> tuple[int, int, int]:
-    """Pairs from h1 x h2 where the h1 error is smaller / equal / larger.
+class _TailVectors(NamedTuple):
+    """One trial's error-count rows, dense over every size min..max.
 
-    Linear in histogram sizes after sorting: sweep h1's keys ascending
-    while advancing a cumulative count of h2 mass strictly below them.
+    Row r (size min_size + r) holds n_test + 1 ints at offset
+    r * (n_test + 1): `counts` are its trees per error k, `above` its trees
+    with error greater than k.  `totals[r]` is the row's tree count; a size with
+    no trees is a zero row.
     """
-    total1 = sum(h1.values())
-    total2 = sum(h2.values())
-    keys2 = sorted(h2)
-    smaller = equal = 0
-    below = 0
-    i = 0
-    for k1 in sorted(h1):
-        while i < len(keys2) and keys2[i] < k1:
-            below += h2[keys2[i]]
-            i += 1
-        n1 = h1[k1]
-        eq = h2.get(k1, 0)
-        smaller += n1 * (total2 - below - eq)
-        equal += n1 * eq
-    return smaller, equal, total1 * total2 - smaller - equal
+
+    min_size: int | None
+    n_test: int
+    counts: list[int]
+    above: list[int]
+    totals: list[int]
+
+
+def _tail_vectors(t: TrialRecord) -> _TailVectors:
+    hists = _trial_histograms(t)
+    width = t.n_test + 1
+    counts: list[int] = []
+    above: list[int] = []
+    totals: list[int] = []
+    for c in range(min(hists, default=0), max(hists, default=-1) + 1):
+        row = [0] * width
+        for k, v in hists.get(c, {}).items():
+            if not 0 <= k < width:
+                raise ValueError(
+                    f"trial {t.trial_id} has error {k} at size {c}, outside "
+                    f"0..{t.n_test}"
+                )
+            row[k] = v
+        total = sum(row)
+        counts += row
+        above += [total - below for below in accumulate(row)]
+        totals.append(total)
+    return _TailVectors(t.min_size, t.n_test, counts, above, totals)
 
 
 def _trial_histograms(t: TrialRecord) -> dict[int, dict[int, int]]:
@@ -221,17 +243,42 @@ def pairwise(
     restricts to trials whose minimum size is in the given set.  pooling
     'pair' divides summed pair counts (every pair weighs the same); 'trial'
     averages per-trial probabilities (every trial weighs the same).
+
+    Each trial's histograms become dense vectors over every size from its
+    minimum to its maximum: error counts d_c[k], the strict tail
+    above_c[k] (trees of size c with error > k) and totals n_c.  Size
+    gap g then takes three dot products over offset rows: pairs where the
+    smaller tree errs less are sum_c,k d_c[k] * above_{c+g}[k], ties are
+    sum_c,k d_c[k] * d_{c+g}[k], all pairs are sum_c n_c * n_{c+g}, and the
+    rest are pairs where the larger tree errs less.  Under 'min' the sums
+    over c keep only the minimum-size row.  A trial counts toward gap g
+    when it has at least one pair there.
     """
-    if baseline not in ("all", "min"):
-        raise ValueError(f"unknown baseline {baseline!r}")
-    if pooling not in ("pair", "trial"):
-        raise ValueError(f"unknown pooling {pooling!r}")
+    chosen = _with_min_size_in(trials, min_size_in)
+    return _pairwise([_tail_vectors(t) for t in chosen], baseline, min_size_in, pooling)
+
+
+def _with_min_size_in(trials, min_size_in):
     allowed = set(min_size_in) if min_size_in is not None else None
-    chosen = [
+    return [
         t
         for t in trials
         if t.min_size is not None and (allowed is None or t.min_size in allowed)
     ]
+
+
+def _pairwise(
+    trials: Sequence[_TailVectors],
+    baseline: str,
+    min_size_in: Sequence[int] | None,
+    pooling: str,
+) -> list[PairwiseRow]:
+    """`pairwise` over trials already turned into `_tail_vectors`."""
+    if baseline not in ("all", "min"):
+        raise ValueError(f"unknown baseline {baseline!r}")
+    if pooling not in ("pair", "trial"):
+        raise ValueError(f"unknown pooling {pooling!r}")
+    chosen = _with_min_size_in(trials, min_size_in)
     denoms = {t.n_test for t in chosen}
     if len(denoms) > 1:
         raise ValueError(f"mixed test denominators {sorted(denoms)}")
@@ -239,30 +286,26 @@ def pairwise(
     present: Counter[int] = Counter()
     shares: dict[int, list[Fraction]] = {}
     for t in chosen:
-        hists = _trial_histograms(t)
-        cs = sorted(hists)
-        by_diff: dict[int, list[int]] = {}
-        for i, c1 in enumerate(cs):
-            if baseline == "min" and c1 != t.min_size:
-                break
-            for c2 in cs[i + 1 :]:
-                s, e, l = _pair_counts(hists[c1], hists[c2])
-                slot = by_diff.setdefault(c2 - c1, [0, 0, 0])
-                slot[0] += s
-                slot[1] += e
-                slot[2] += l
-        for diff, (s, e, l) in by_diff.items():
+        d, above, n, w = t.counts, t.above, t.totals, t.n_test + 1
+        lead, lead_n = (d, n) if baseline == "all" else (d[:w], n[:1])
+        for diff in range(1, len(n)):
+            pairs = sum(map(mul, lead_n, n[diff:]))
+            if not pairs:
+                continue
+            lo, hi = diff * w, diff * w + len(lead)
+            s = sum(map(mul, lead, above[lo:hi]))
+            e = sum(map(mul, lead, d[lo:hi]))
+            l = pairs - s - e
             slot = counts.setdefault(diff, [0, 0, 0])
             slot[0] += s
             slot[1] += e
             slot[2] += l
             present[diff] += 1
             if pooling == "trial":
-                n = s + e + l
                 tri = shares.setdefault(diff, [Fraction(0)] * 3)
-                tri[0] += Fraction(s, n)
-                tri[1] += Fraction(e, n)
-                tri[2] += Fraction(l, n)
+                tri[0] += Fraction(s, pairs)
+                tri[1] += Fraction(e, pairs)
+                tri[2] += Fraction(l, pairs)
     rows = []
     for diff in sorted(counts):
         s, e, l = counts[diff]

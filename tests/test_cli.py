@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 try:
     import tomllib
@@ -143,17 +145,91 @@ def test_bad_integers_and_empty_data_exit_without_a_traceback(tmp_path, capsys, 
     assert "error:" in err
 
 
-def test_import_pulls_in_no_numpy(tmp_path):
+# Each subcommand's integer options with the largest value drawn.  --threads
+# stops at 1 so that no example starts a worker pool.  The options in
+# _ALWAYS are always passed, because their defaults start a pool or a
+# multi-second oracle run.
+_ALWAYS = ("--threads", "--features", "--labelings")
+_INT_OPTIONS = {
+    "enumerate": {"--max-nodes": 2, "--max-trees": 2},
+    "experiment": {
+        "--seed": 2, "--trials": 2, "--threads": 1,
+        "--n-train": 2, "--test-size": 2, "--max-nodes": 2,
+    },
+    "oracle-check": {"--features": 2, "--labelings": 2, "--seed": 2, "--max-nodes": 2},
+    "policy": {"--seed": 2},
+}
+
+
+@st.composite
+def boundary_argv(draw):
+    command = draw(st.sampled_from(sorted(_INT_OPTIONS)))
+    argv = [command]
+    if command == "enumerate":
+        argv += ["--concept", "ab"]
+    if command == "experiment":
+        splits = ("disjoint", "with_replacement", "leave_one_out")
+        argv += ["--concept", "ab", "--split", draw(st.sampled_from(splits))]
+    for option, top in _INT_OPTIONS[command].items():
+        value = draw(st.integers(-1, top))
+        if option in _ALWAYS or draw(st.booleans()):
+            argv += [option, str(value)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def small_records(tmp_path_factory):
+    out = tmp_path_factory.mktemp("records")
+    code = main(
+        ["experiment", "--concept", "ab", "--n-train", "4", "--trials", "3",
+         "--threads", "1", "--quiet", "--out", str(out)]
+    )
+    assert code == EXIT_OK
+    return str(out / "trial_records.jsonl")
+
+
+@pytest.mark.property_based
+@given(argv=boundary_argv())
+@settings(
+    max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_boundary_integers_exit_with_a_documented_code(small_records, tmp_path, capsys, argv):
+    if argv[0] == "experiment":
+        argv += ["--out", str(tmp_path / "run"), "--quiet"]
+    if argv[0] == "policy":
+        argv += ["--records", small_records]
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse rejects usage errors by exiting
+        code = e.code
+    err = capsys.readouterr().err
+    assert code in range(EXIT_CONFIG + 1), argv
+    assert "Traceback" not in err
+
+
+def loaded_by_import(tmp_path, modules):
+    """Which of `modules` a fresh interpreter holds after `import forestscope`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SOURCE_ROOT), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, forestscope; print('numpy' in sys.modules)"],
+        [sys.executable, "-c",
+         f"import sys, forestscope; print([m for m in {modules!r} if m in sys.modules])"],
         capture_output=True, text=True, env=env, cwd=tmp_path,
     )
     assert proc.returncode == EXIT_OK, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_import_pulls_in_no_numpy(tmp_path):
+    assert loaded_by_import(tmp_path, ("numpy",)) == "[]"
+
+
+def test_import_pulls_in_no_pool_xml_or_network_modules(tmp_path):
+    heavy = ("multiprocessing", "xml.sax", "ssl", "urllib.request")
+    assert loaded_by_import(tmp_path, heavy) == "[]"
 
 
 def test_experiment_writes_run_directory(tmp_path, capsys):

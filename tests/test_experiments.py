@@ -1,6 +1,8 @@
 """Seeded trial runner: determinism, presets, filters, emitted files."""
 
+import multiprocessing
 import os
+from xml.sax.saxutils import escape
 
 import pytest
 from dataclasses import replace
@@ -15,6 +17,7 @@ from forestscope import (
     preset_names,
     run_trials,
 )
+from forestscope import charts, experiments
 from forestscope.experiments import ExperimentError, leg_table_label, resolve_source, select_legs
 
 
@@ -91,6 +94,38 @@ def test_runs_are_deterministic_and_thread_count_free():
     c = run_trials(cfg, threads=4)
     assert strip_wall(a[0].records) == strip_wall(b[0].records)
     assert strip_wall(a[0].records) == strip_wall(c[0].records)
+
+
+@pytest.mark.parametrize(
+    "threads, cpus, want",
+    [(64, 4, 4), (64, 128, 6), (3, 128, 3), (64, None, 1), (0, 4, 1), (2, 1, 1)],
+)
+def test_worker_count_is_capped_by_trials_and_cpus(monkeypatch, threads, cpus, want):
+    started = []
+
+    class SerialPool:
+        """Records the worker count it was asked for and maps in this process."""
+
+        def __init__(self, processes, initializer, initargs):
+            started.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(experiments, "_WORKER_CTX", None)
+    cfg = small_config()  # 6 trials
+    got = run_trials(cfg, threads=threads)
+    assert started == ([want] if want > 1 else [])
+    assert strip_wall(got[0].records) == strip_wall(run_trials(cfg, threads=1)[0].records)
 
 
 def test_trial_seeds_depend_on_scope_not_name():
@@ -224,6 +259,17 @@ def test_emit_all_can_render_charts(tmp_path):
     assert svgs
     body = open(svgs[0]).read()
     assert body.startswith("<svg") and "polyline" in body
+
+
+def test_chart_labels_escape_markup_characters_only(tmp_path):
+    label = """a & b < c > d " e ' f"""
+    path = tmp_path / "chart.svg"
+    charts.write_chart(path, label, label, label, [(label, [(0, 0), (1, 1)])])
+    body = path.read_bytes()
+    want = escape(label).encode()
+    assert want == b"""a &amp; b &lt; c &gt; d " e ' f"""
+    assert body.count(b">" + want + b"</text>") == 4
+    assert label.encode() not in body
 
 
 def test_trial_records_round_trip(tmp_path):

@@ -206,6 +206,86 @@ def test_pairwise_matches_brute_force_pair_enumeration(seed):
     assert set(got) == set(expect)
 
 
+def brute_force_pairwise(trials, baseline, min_size_in, pooling):
+    """Every tree pair of every chosen trial, tallied one pair at a time."""
+    counts, present, shares = {}, {}, {}
+    for t in trials:
+        if t.min_size is None or (min_size_in is not None and t.min_size not in min_size_in):
+            continue
+        trees = {
+            c: [k for k, v in b.error_hist.items() for _ in range(v)]
+            for c, b in t.summary.buckets.items()
+            if b.tree_count
+        }
+        per_diff = {}
+        for c1, c2 in itertools.combinations(sorted(trees), 2):
+            if baseline == "min" and c1 != t.min_size:
+                continue
+            slot = per_diff.setdefault(c2 - c1, [0, 0, 0])
+            for a, b in itertools.product(trees[c1], trees[c2]):
+                slot[0 if a < b else 1 if a == b else 2] += 1
+        for diff, tally in per_diff.items():
+            counts[diff] = [x + y for x, y in zip(counts.get(diff, [0, 0, 0]), tally)]
+            present[diff] = present.get(diff, 0) + 1
+            shares[diff] = [
+                x + Fraction(y, sum(tally))
+                for x, y in zip(shares.get(diff, [0, 0, 0]), tally)
+            ]
+    out = {}
+    for diff, tally in counts.items():
+        if pooling == "pair":
+            probs = [Fraction(x, sum(tally)) for x in tally]
+        else:
+            probs = [x / present[diff] for x in shares[diff]]
+        out[diff] = (*tally, present[diff], *probs)
+    return out
+
+
+@st.composite
+def gapped_trials(draw):
+    """Trials whose sizes skip values, with errors anywhere in 0..n_test."""
+    n_test = draw(st.integers(1, 4))
+    trials = []
+    for tid in range(draw(st.integers(1, 4))):
+        sizes = draw(st.sets(st.integers(1, 9), max_size=4))
+        buckets = {}
+        for c in sizes:
+            hist = draw(
+                st.dictionaries(st.integers(0, n_test), st.integers(1, 3), min_size=1, max_size=3)
+            )
+            n = sum(hist.values())
+            buckets[c] = (n, hist.get(0, 0), sum(k * v for k, v in hist.items()), hist)
+        trials.append(rec(tid, buckets, n_test))
+    return trials
+
+
+@pytest.mark.property_based
+@given(
+    trials=gapped_trials(),
+    baseline=st.sampled_from(["all", "min"]),
+    pooling=st.sampled_from(["pair", "trial"]),
+    min_size_in=st.none() | st.sets(st.integers(1, 9), min_size=1, max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_pairwise_matches_brute_force_on_gapped_sizes(trials, baseline, pooling, min_size_in):
+    got = pairwise(trials, baseline=baseline, min_size_in=min_size_in, pooling=pooling)
+    assert [r.diff for r in got] == sorted(r.diff for r in got)
+    assert {
+        r.diff: (
+            r.smaller_count, r.equal_count, r.larger_count, r.trials_present,
+            r.p_smaller_exact, r.p_equal_exact, r.p_larger_exact,
+        )
+        for r in got
+    } == brute_force_pairwise(trials, baseline, min_size_in, pooling)
+
+
+@pytest.mark.parametrize("key", [-1, 5])
+def test_pairwise_rejects_errors_outside_the_test_set(key):
+    t = rec(7, {2: (2, 1, 0, {0: 1, key: 1}), 3: (1, 0, 1, {1: 1})}, 4)
+    with pytest.raises(ValueError, match="trial 7"):
+        pairwise([t], baseline="all")
+
+
 def test_best_cardinality_breaks_ties_low():
     # c=2 and c=4 both have mean error 1/4
     t = rec(0, {2: (1, 0, 1, {1: 1}), 4: (2, 1, 2, {0: 1, 2: 1})}, 4)
