@@ -287,9 +287,7 @@ def _cmd_oracle_check(args) -> int:
 def _cmd_policy(args) -> int:
     try:
         pairs = experiments.load_trial_records(args.records)
-    except OSError as e:
-        return _fail(EXIT_DATA, "data", str(e))
-    except experiments.ExperimentError as e:
+    except (OSError, experiments.ExperimentError) as e:
         return _fail(EXIT_DATA, "data", str(e))
     by_label: dict[str, list] = {}
     for label, record in pairs:
@@ -300,13 +298,13 @@ def _cmd_policy(args) -> int:
     sections = []
     for label in sorted(by_label):
         rows = stats.derive_policy(by_label[label])
-        sections.append((label, args.seed, rows))
+        sections.append(((label, args.seed), rows))
         for r in rows:
             print(f"{label},{r.min_size},{r.preferred_cardinality},{r.trial_count}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "policy.csv")
-        stats.write_policy_csv(path, sections)
+        path = os.path.join(args.out, f"{stats.POLICY_TABLE.name}.csv")
+        stats.write_table(path, stats.POLICY_TABLE, sections)
         print(f"wrote {path}")
     return EXIT_OK
 

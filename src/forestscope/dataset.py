@@ -169,9 +169,6 @@ class Dataset:
                 return (j, i)
         return None
 
-    def is_feasible(self) -> bool:
-        return self.conflict() is None
-
     def distinct_instances(self) -> int:
         return len({ex.instance for ex in self.examples})
 
@@ -290,8 +287,13 @@ def _parse_header(line: str, line_no: int) -> FeatureSchema:
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line_no = raw.count(b"\n", 0, e.start) + 1
+        raise DatasetFormatError(line_no, f"not UTF-8 text: {e.reason}") from None
     return parse_dataset(text)
 
 

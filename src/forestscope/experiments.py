@@ -21,6 +21,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, replace
+from operator import getitem
 from typing import Callable, Sequence
 
 from . import charts, stats
@@ -358,20 +359,18 @@ def emit_all(
         written.append(path)
         return path
 
-    card_sections = []
-    pair_sections = []
-    policy_sections = []
-    path_sections = []
+    card, pair, policy, path = [], [], [], []
     for res in results:
         label = leg_table_label(config, res.leg)
         used = res.accepted_records()
         if not used:
             continue
+        key = (label, seed)
         if "cardinality" in config.analyses:
-            card_sections.append((label, seed, stats.aggregate_by_cardinality(used)))
+            card.append((key, stats.aggregate_by_cardinality(used)))
         if "min_size_groups" in config.analyses:
             for m, group in stats.group_by_min_size(used).items():
-                card_sections.append((f"{label}:min{m}", seed, group.rows))
+                card.append(((f"{label}:min{m}", seed), group.rows))
         pair_runs = []
         if "pairwise_all" in config.analyses:
             pair_runs.append(("all", None))
@@ -382,29 +381,26 @@ def emit_all(
             tails = [stats._tail_vectors(t) for t in used]
             for baseline, k in pair_runs:
                 rows = stats._pairwise(tails, baseline, None if k is None else (k,), "pair")
-                pair_sections.append((label, seed, baseline, "" if k is None else str(k), rows))
+                pair.append((key + (baseline, "" if k is None else str(k)), rows))
         if "policy" in config.analyses:
-            policy_sections.append((label, seed, stats.derive_policy(used)))
+            policy.append((key, stats.derive_policy(used)))
         if "path_length" in config.analyses:
-            rows = stats.bin_by_path_length(used, config.path_bin_width)
-            path_sections.append((label, seed, rows))
-    if card_sections:
-        stats.write_cardinality_csv(out("cardinality_stats.csv"), card_sections)
-    if pair_sections:
-        stats.write_pairwise_csv(out("pairwise.csv"), pair_sections)
-    if policy_sections:
-        stats.write_policy_csv(out("policy.csv"), policy_sections)
-    if path_sections:
-        stats.write_path_length_csv(out("path_length.csv"), path_sections)
+            path.append((key, stats.bin_by_path_length(used, config.path_bin_width)))
+    tables = [
+        (stats.CARDINALITY_TABLE, card),
+        (stats.PAIRWISE_TABLE, pair),
+        (stats.POLICY_TABLE, policy),
+        (stats.PATH_LENGTH_TABLE, path),
+    ]
+    tables = [(table, sections) for table, sections in tables if sections]
+    for table, sections in tables:
+        stats.write_table(out(f"{table.name}.csv"), table, sections)
     _write_manifest(out("run_manifest.csv"), config, results)
     _write_records(out("trial_records.jsonl"), config, results)
     if with_charts:
-        if card_sections:
-            _chart_cardinality(out("cardinality_stats.svg"), card_sections)
-        if pair_sections:
-            _chart_pairwise(out("pairwise.svg"), pair_sections)
-        if path_sections:
-            _chart_path(out("path_length.svg"), path_sections)
+        for table, sections in tables:
+            if table.name in _CHARTS:
+                _write_chart(out(f"{table.name}.svg"), _CHARTS[table.name], sections)
     return written
 
 
@@ -429,66 +425,92 @@ def _write_manifest(path, config, results) -> None:
                 )
 
 
-def _chart_cardinality(path, sections) -> None:
+# Each charted table's title, axis labels, x column and (y column, series
+# suffix) pairs.  A chart draws one series per section and y column.
+_CHARTS = {
+    "cardinality_stats": (
+        "error by tree size", "node cardinality", "mean error",
+        "node_cardinality", (("mean_error", ""),),
+    ),
+    "pairwise": (
+        "pairwise outcome shares", "cardinality difference", "probability",
+        "diff",
+        (
+            ("p_smaller_better", " smaller wins"),
+            ("p_equal", " equal"),
+            ("p_larger_better", " larger wins"),
+        ),
+    ),
+    "path_length": (
+        "error by path length", "average path length", "mean error",
+        "bin_center", (("mean_error", ""),),
+    ),
+}
+
+
+def _series_tag(key: tuple) -> str:
+    """Legend name of a section: its label, plus a pairwise run's condition and baseline."""
+    label, _seed, *run = key
+    if not run:
+        return label
+    baseline, condition = run
+    return label + (f" min={condition}" if condition else "") + f" [{baseline}]"
+
+
+def _write_chart(path, chart, sections) -> None:
+    title, x_label, y_label, x, ys = chart
     series = [
-        (label, [(r.node_cardinality, r.mean_error) for r in rows])
-        for label, _, rows in sections
+        (_series_tag(key) + suffix, [(getattr(r, x), getattr(r, y)) for r in rows])
+        for key, rows in sections
+        for y, suffix in ys
     ]
-    charts.write_chart(path, "error by tree size", "node cardinality", "mean error", series)
-
-
-def _chart_pairwise(path, sections) -> None:
-    series = []
-    for label, _, baseline, condition, rows in sections:
-        tag = label + (f" min={condition}" if condition else "") + f" [{baseline}]"
-        series.append((f"{tag} smaller wins", [(r.diff, r.p_smaller_better) for r in rows]))
-        series.append((f"{tag} equal", [(r.diff, r.p_equal) for r in rows]))
-        series.append((f"{tag} larger wins", [(r.diff, r.p_larger_better) for r in rows]))
-    charts.write_chart(
-        path, "pairwise outcome shares", "cardinality difference", "probability", series
-    )
-
-
-def _chart_path(path, sections) -> None:
-    series = [
-        (label, [(r.bin_center, r.mean_error) for r in rows])
-        for label, _, rows in sections
-    ]
-    charts.write_chart(
-        path, "error by path length", "average path length", "mean error", series
-    )
+    charts.write_chart(path, title, x_label, y_label, series)
 
 
 # ----------------------------------------------------- record persistence
 
-def _bucket_to_json(b: CardinalityBucket) -> dict:
-    return {
-        "tree_count": b.tree_count,
-        "correct_count": b.correct_count,
-        "misclassified_total": b.misclassified_total,
-        "error_hist": None
-        if b.error_hist is None
-        else {str(k): v for k, v in sorted(b.error_hist.items())},
-        "leaf_hist": None
-        if b.leaf_hist is None
-        else {str(k): v for k, v in sorted(b.leaf_hist.items())},
-        "path_tests_total": b.path_tests_total,
-    }
+# The record dump's fields, stored under their attribute names: each
+# record's own, its summary's, and under "buckets" each bucket's, keyed by
+# cardinality.  Fields in _INT_KEYED are dicts keyed by int; they, like
+# "buckets", are stored with str keys (JSON object keys are strings).  Every
+# row also carries its table label as "preset".
+_RECORD_FIELDS = ("trial_id", "seed", "accepted", "rejections", "n_train", "n_test", "min_size")
+_SUMMARY_FIELDS = ("test_weight", "population_size", "path_bin_width", "path_bins")
+_BUCKET_FIELDS = (
+    "tree_count",
+    "correct_count",
+    "misclassified_total",
+    "error_hist",
+    "leaf_hist",
+    "path_tests_total",
+)
+_INT_KEYED = frozenset({"path_bins", "error_hist", "leaf_hist"})
 
 
-def _bucket_from_json(d: dict) -> CardinalityBucket:
-    return CardinalityBucket(
-        tree_count=d["tree_count"],
-        correct_count=d["correct_count"],
-        misclassified_total=d["misclassified_total"],
-        error_hist=None
-        if d["error_hist"] is None
-        else {int(k): v for k, v in d["error_hist"].items()},
-        leaf_hist=None
-        if d["leaf_hist"] is None
-        else {int(k): v for k, v in d["leaf_hist"].items()},
-        path_tests_total=d["path_tests_total"],
-    )
+def _json_object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, found {type(value).__name__}")
+    return value
+
+
+def _pick(get: Callable, source, names: Sequence[str], key: type) -> dict:
+    """`get(source, name)` for each of `names`, each one required.
+
+    The int-keyed dicts among them get their keys converted by `key`: to
+    dump a record, `getattr` and `str`; to load one, `getitem` and `int`.
+    """
+    row = {}
+    for name in names:
+        value = get(source, name)
+        if value is not None and name in _INT_KEYED:
+            value = {key(k): v for k, v in _json_object(value).items()}
+        row[name] = value
+    return row
+
+
+# Each row is a fresh tree of plain values, so the encoder skips its check
+# for reference cycles.
+_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
 def _write_records(path, config, results) -> None:
@@ -497,62 +519,45 @@ def _write_records(path, config, results) -> None:
             label = leg_table_label(config, res.leg)
             for r in res.records:
                 s = r.summary
-                row = {
-                    "preset": label,
-                    "trial_id": r.trial_id,
-                    "seed": r.seed,
-                    "accepted": r.accepted,
-                    "rejections": r.rejections,
-                    "n_train": r.n_train,
-                    "n_test": r.n_test,
-                    "min_size": r.min_size,
-                    "test_weight": s.test_weight,
-                    "population_size": s.population_size,
-                    "path_bin_width": s.path_bin_width,
-                    "path_bins": None
-                    if s.path_bins is None
-                    else {str(k): list(v) for k, v in sorted(s.path_bins.items())},
-                    "buckets": {
-                        str(c): _bucket_to_json(b) for c, b in sorted(s.buckets.items())
-                    },
+                row = _pick(getattr, r, _RECORD_FIELDS, str)
+                row.update(_pick(getattr, s, _SUMMARY_FIELDS, str), preset=label)
+                row["buckets"] = {
+                    str(c): _pick(getattr, b, _BUCKET_FIELDS, str) for c, b in s.buckets.items()
                 }
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+                fh.write(_ENCODER.encode(row) + "\n")
 
 
 def load_trial_records(path) -> list[tuple[str, TrialRecord]]:
-    """Read back a trial_records.jsonl dump as (table label, record) pairs."""
+    """Read back a trial_records.jsonl dump as (table label, record) pairs.
+
+    Raises ExperimentError, naming the line, on a line that is not UTF-8
+    text or not a whole record.
+    """
     out: list[tuple[str, TrialRecord]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
-                row = json.loads(line)
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
+                row = _json_object(json.loads(line))
+                buckets = {
+                    int(c): CardinalityBucket(
+                        **_pick(getitem, _json_object(b), _BUCKET_FIELDS, int)
+                    )
+                    for c, b in _json_object(row["buckets"]).items()
+                }
                 summary = ForestSummary(
-                    buckets={
-                        int(c): _bucket_from_json(b) for c, b in row["buckets"].items()
-                    },
-                    test_weight=row["test_weight"],
-                    population_size=row["population_size"],
-                    path_bin_width=row["path_bin_width"],
-                    path_bins=None
-                    if row["path_bins"] is None
-                    else {int(k): list(v) for k, v in row["path_bins"].items()},
+                    buckets=buckets, **_pick(getitem, row, _SUMMARY_FIELDS, int)
                 )
                 record = TrialRecord(
-                    trial_id=row["trial_id"],
-                    seed=row["seed"],
-                    n_train=row["n_train"],
-                    n_test=row["n_test"],
-                    min_size=row["min_size"],
-                    summary=summary,
-                    accepted=row["accepted"],
-                    rejections=row["rejections"],
+                    summary=summary, **_pick(getitem, row, _RECORD_FIELDS, int)
                 )
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
+                out.append((row["preset"], record))
+            except KeyError as e:
+                raise ExperimentError(f"{path}: line {line_no}: missing field {e}") from None
+            except (TypeError, ValueError) as e:
                 raise ExperimentError(f"{path}: line {line_no}: {e}") from None
-            out.append((row["preset"], record))
     return out
 
 

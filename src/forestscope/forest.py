@@ -459,17 +459,16 @@ def forest_summary(
     limits: EnumerationLimits = EnumerationLimits(),
     population: list[tuple] | None = None,
     track: TrackOptions = TrackOptions(),
-    mode: str = "auto",
+    mode: str = "algebraic",
 ) -> ForestSummary:
     """Accumulate the consistent forest without storing trees.
 
-    mode: 'auto' and 'algebraic' run the algebraic route, which serves
-    every tracking option; 'stream' walks every tree with the search
-    enumerator and measures it directly, the oracle the tests compare the
-    algebraic route against.  Raises EnumerationTruncated past
-    limits.max_trees.
+    mode: 'algebraic' runs the algebraic route, which serves every tracking
+    option; 'stream' walks every tree with the search enumerator and
+    measures it directly, the oracle the tests compare the algebraic route
+    against.  Raises EnumerationTruncated past limits.max_trees.
     """
-    if mode not in ("auto", "stream", "algebraic"):
+    if mode not in ("stream", "algebraic"):
         raise ValueError(f"unknown mode {mode!r}")
     if track.path_bins is not None and track.path_bins <= 0:
         raise ValueError("path_bins width must be positive")

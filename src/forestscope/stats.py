@@ -15,6 +15,11 @@ Pairwise tallies come from dense per-trial vectors of error counts and
 error tails over every size (see `pairwise`): each size gap is a few dot
 products, not one histogram sweep per pair of sizes.  `emit_all` builds
 the vectors once per call and shares them among its pairwise tables.
+
+Each emitted CSV table is laid out once, as a `Table`: its key columns
+(preset and seed, plus baseline and condition for pairwise), then row
+columns read by attribute name off `AggregateRow`, `PairwiseRow`,
+`PolicyRow` or `PathBinRow` rows.  `write_table` writes any of them.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 from statistics import fmean, stdev
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .forest import CardinalityBucket, ForestSummary
 
@@ -420,102 +425,46 @@ def bin_by_path_length(trials: Sequence[TrialRecord], bin_width: float) -> list[
 
 # ------------------------------------------------------------ CSV output
 
-def _write_csv(path, header: list[str], rows) -> None:
+class Table(NamedTuple):
+    """One CSV table's layout: its file stem, key columns and row columns.
+
+    A table is written from sections of (key values, rows).  Each row is one
+    line: its section's key values, then the row's `columns`, each read off
+    the row by attribute name.
+    """
+
+    name: str
+    keys: tuple[str, ...]
+    columns: tuple[str, ...]
+
+
+_LEG_KEYS = ("preset", "seed")
+
+CARDINALITY_TABLE = Table(
+    "cardinality_stats",
+    _LEG_KEYS,
+    (
+        "node_cardinality",
+        "trials_present",
+        "mean_error",
+        "ci_half_width",
+        "mean_tree_count",
+        "mean_correct_count",
+    ),
+)
+PAIRWISE_TABLE = Table(
+    "pairwise",
+    _LEG_KEYS + ("baseline", "min_size_condition"),
+    ("diff", "p_smaller_better", "p_equal", "p_larger_better", "pair_count"),
+)
+POLICY_TABLE = Table("policy", _LEG_KEYS, ("min_size", "preferred_cardinality", "trial_count"))
+PATH_LENGTH_TABLE = Table("path_length", _LEG_KEYS, ("bin_center", "mean_error", "tree_count"))
+
+
+def write_table(path, table: Table, sections: Iterable[tuple[Sequence, Sequence]]) -> None:
+    """Write `table` as CSV from its (key values, rows) sections, in order."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def write_cardinality_csv(
-    path, sections: Sequence[tuple[str, int, Sequence[AggregateRow]]]
-) -> None:
-    _write_csv(
-        path,
-        [
-            "preset",
-            "seed",
-            "node_cardinality",
-            "trials_present",
-            "mean_error",
-            "ci_half_width",
-            "mean_tree_count",
-            "mean_correct_count",
-        ],
-        (
-            [
-                label,
-                seed,
-                r.node_cardinality,
-                r.trials_present,
-                r.mean_error,
-                r.ci_half_width,
-                r.mean_tree_count,
-                r.mean_correct_count,
-            ]
-            for label, seed, rows in sections
-            for r in rows
-        ),
-    )
-
-
-def write_pairwise_csv(
-    path, sections: Sequence[tuple[str, int, str, str, Sequence[PairwiseRow]]]
-) -> None:
-    _write_csv(
-        path,
-        [
-            "preset",
-            "seed",
-            "baseline",
-            "min_size_condition",
-            "diff",
-            "p_smaller_better",
-            "p_equal",
-            "p_larger_better",
-            "pair_count",
-        ],
-        (
-            [
-                label,
-                seed,
-                baseline,
-                condition,
-                r.diff,
-                r.p_smaller_better,
-                r.p_equal,
-                r.p_larger_better,
-                r.pair_count,
-            ]
-            for label, seed, baseline, condition, rows in sections
-            for r in rows
-        ),
-    )
-
-
-def write_policy_csv(
-    path, sections: Sequence[tuple[str, int, Sequence[PolicyRow]]]
-) -> None:
-    _write_csv(
-        path,
-        ["preset", "seed", "min_size", "preferred_cardinality", "trial_count"],
-        (
-            [label, seed, r.min_size, r.preferred_cardinality, r.trial_count]
-            for label, seed, rows in sections
-            for r in rows
-        ),
-    )
-
-
-def write_path_length_csv(
-    path, sections: Sequence[tuple[str, int, Sequence[PathBinRow]]]
-) -> None:
-    _write_csv(
-        path,
-        ["preset", "seed", "bin_center", "mean_error", "tree_count"],
-        (
-            [label, seed, r.bin_center, r.mean_error, r.tree_count]
-            for label, seed, rows in sections
-            for r in rows
-        ),
-    )
+        w.writerow(table.keys + table.columns)
+        for key, rows in sections:
+            w.writerows([*key, *(getattr(r, c) for c in table.columns)] for r in rows)

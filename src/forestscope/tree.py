@@ -19,9 +19,9 @@ trees need a deterministic order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .dataset import Dataset, FeatureSchema, Instance, LabeledExample
+from .dataset import Dataset, FeatureSchema, Instance, LabeledExample, SchemaError
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,6 @@ def depth(node: Node) -> int:
     if isinstance(node, Leaf):
         return 0
     return 1 + max(depth(c) for c in node.children)
-
-
-def iter_splits(node: Node) -> Iterator[Split]:
-    if isinstance(node, Split):
-        yield node
-        for c in node.children:
-            yield from iter_splits(c)
 
 
 def majority_label(examples: Sequence[LabeledExample], n_classes: int) -> int:
@@ -243,13 +236,10 @@ def parse_tree(text: str, schema: FeatureSchema) -> Node:
                 raise TreeFormatError(f"unknown class token {tok!r}") from None
         expect("(")
         name = take_atom("feature name")
-        feature = None
-        for i, (n, _) in enumerate(schema.features):
-            if n == name:
-                feature = i
-                break
-        if feature is None:
-            raise TreeFormatError(f"unknown feature {name!r}")
+        try:
+            feature = schema.feature_index(name)
+        except SchemaError:
+            raise TreeFormatError(f"unknown feature {name!r}") from None
         children = []
         for v, value_token in enumerate(schema.values(feature)):
             tok = take_atom("value token")

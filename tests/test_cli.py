@@ -127,12 +127,20 @@ def test_usage_errors_exit_2():
             EXIT_USAGE,
         ),
         (["enumerate", "--data", "HEADER_ONLY"], EXIT_DATA),
+        (["datasets", "--validate", "NOT_UTF8"], EXIT_DATA),
+        (["enumerate", "--data", "NOT_UTF8"], EXIT_DATA),
+        (["experiment", "--data", "NOT_UTF8", "--n-train", "1"], EXIT_DATA),
+        (["experiment", "--preset", "fig15", "--data", "NOT_UTF8"], EXIT_DATA),
+        (["policy", "--records", "NOT_UTF8"], EXIT_DATA),
     ],
 )
 def test_bad_integers_and_empty_data_exit_without_a_traceback(tmp_path, capsys, argv, want):
     header_only = tmp_path / "header.csv"
     header_only.write_text("a=0|1,class=n|y\n", encoding="utf-8")
-    argv = [str(header_only) if a == "HEADER_ONLY" else a for a in argv]
+    not_utf8 = tmp_path / "latin1.csv"
+    not_utf8.write_bytes("a=0|1,class=n|y\n0,n\n1,\u00e9\n".encode("latin-1"))
+    files = {"HEADER_ONLY": str(header_only), "NOT_UTF8": str(not_utf8)}
+    argv = [files.get(a, a) for a in argv]
     if argv[0] == "experiment":
         argv += ["--out", str(tmp_path / "run"), "--threads", "1", "--quiet"]
     try:

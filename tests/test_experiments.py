@@ -1,5 +1,6 @@
 """Seeded trial runner: determinism, presets, filters, emitted files."""
 
+import json
 import multiprocessing
 import os
 from xml.sax.saxutils import escape
@@ -251,6 +252,42 @@ def test_emit_all_writes_declared_tables(tmp_path):
     assert len(manifest) == 1 + 6
 
 
+def test_every_table_header_is_pinned(tmp_path):
+    cfg = small_config(
+        analyses=(
+            "cardinality",
+            "min_size_groups",
+            "pairwise_all",
+            "pairwise_min",
+            "policy",
+            "path_length",
+        ),
+        pairwise_conditions=(4, 5),
+        path_bin_width=0.5,
+    )
+    out = tmp_path / "run"
+    written = emit_all(cfg, run_trials(cfg), str(out), with_charts=True)
+    headers = {
+        "cardinality_stats.csv": "preset,seed,node_cardinality,trials_present,mean_error,"
+        "ci_half_width,mean_tree_count,mean_correct_count",
+        "pairwise.csv": "preset,seed,baseline,min_size_condition,diff,p_smaller_better,"
+        "p_equal,p_larger_better,pair_count",
+        "policy.csv": "preset,seed,min_size,preferred_cardinality,trial_count",
+        "path_length.csv": "preset,seed,bin_center,mean_error,tree_count",
+        "run_manifest.csv": "preset,seed,trial_id,accepted,min_size,total_trees",
+    }
+    svgs = ["cardinality_stats.svg", "pairwise.svg", "path_length.svg"]
+    names = [os.path.basename(p) for p in written]
+    assert sorted(names) == sorted([*headers, "trial_records.jsonl", *svgs])
+    for name, header in headers.items():
+        lines = (out / name).read_text().splitlines()
+        assert lines[0] == header
+        assert len(lines) > 1
+    pairwise_lines = (out / "pairwise.csv").read_text().splitlines()[1:]
+    runs = {tuple(line.split(",")[2:4]) for line in pairwise_lines}
+    assert ("all", "") in runs and ("min", "4") in runs
+
+
 def test_emit_all_can_render_charts(tmp_path):
     cfg = small_config()
     res = run_trials(cfg)
@@ -273,13 +310,18 @@ def test_chart_labels_escape_markup_characters_only(tmp_path):
 
 
 def test_trial_records_round_trip(tmp_path):
-    cfg = small_config(analyses=("cardinality",), leaf_hist=True)
+    cfg = small_config(analyses=("cardinality",), leaf_hist=True, path_bin_width=0.5)
     res = run_trials(cfg)
     out = tmp_path / "run"
     emit_all(cfg, res, str(out))
     loaded = load_trial_records(str(out / "trial_records.jsonl"))
     assert [label for label, _ in loaded] == ["unit"] * 6
     assert [r for _, r in loaded] == strip_wall(res[0].records)
+    summaries = [r.summary for _, r in loaded]
+    assert all(s.path_bins for s in summaries)
+    assert all(
+        b.path_tests_total is not None for s in summaries for b in s.buckets.values()
+    )
 
 
 def test_trial_records_loader_rejects_garbage(tmp_path):
@@ -287,3 +329,51 @@ def test_trial_records_loader_rejects_garbage(tmp_path):
     p.write_text('{"nope": 1}\n', encoding="utf-8")
     with pytest.raises(ExperimentError):
         load_trial_records(str(p))
+
+
+@pytest.fixture(scope="module")
+def record_row(tmp_path_factory):
+    """One dumped trial record, with path bins, as a parsed JSON object."""
+    cfg = small_config(
+        analyses=("cardinality",),
+        legs=(LegSpec(label="", n_train=20, trial_count=1, max_nodes=8),),
+        path_bin_width=0.5,
+    )
+    out = tmp_path_factory.mktemp("records")
+    emit_all(cfg, run_trials(cfg), str(out))
+    return json.loads((out / "trial_records.jsonl").read_text().splitlines()[0])
+
+
+def _without(row, field):
+    return {k: v for k, v in row.items() if k != field}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda row: json.dumps(_without(row, "preset")).encode(),
+        lambda row: json.dumps({**row, "buckets": list(row["buckets"].values())}).encode(),
+        lambda row: json.dumps({**row, "path_bins": list(row["path_bins"].values())}).encode(),
+        lambda row: json.dumps(row).encode() + b"\n\xff\xfe\n",
+    ],
+    ids=["no-preset", "buckets-list", "path-bins-list", "not-utf8"],
+)
+def test_trial_records_loader_rejects_malformed_rows(tmp_path, record_row, make):
+    p = tmp_path / "bad.jsonl"
+    p.write_bytes(make(record_row))
+    with pytest.raises(ExperimentError):
+        load_trial_records(str(p))
+
+
+def test_trial_records_loader_needs_every_field(tmp_path, record_row):
+    p = tmp_path / "row.jsonl"
+    bucket = next(iter(record_row["buckets"]))
+    rows = [_without(record_row, f) for f in record_row]
+    rows += [
+        {**record_row, "buckets": {bucket: _without(record_row["buckets"][bucket], f)}}
+        for f in record_row["buckets"][bucket]
+    ]
+    for row in rows:
+        p.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        with pytest.raises(ExperimentError, match="missing field"):
+            load_trial_records(str(p))
