@@ -48,7 +48,6 @@ from .forest import (
     EnumerationTruncated,
     ForestSummary,
     TrackOptions,
-    enumerate_consistent,
     enumerate_naive,
     forest_summary,
     iter_consistent,

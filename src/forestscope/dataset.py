@@ -102,9 +102,6 @@ class FeatureSchema:
     def values(self, i: int) -> tuple[str, ...]:
         return self.features[i][1]
 
-    def arity(self, i: int) -> int:
-        return len(self.features[i][1])
-
     @property
     def arities(self) -> tuple[int, ...]:
         return tuple(len(v) for _, v in self.features)

@@ -484,7 +484,32 @@ _BUCKET_FIELDS = (
     "leaf_hist",
     "path_tests_total",
 )
-_INT_KEYED = frozenset({"path_bins", "error_hist", "leaf_hist"})
+# The JSON types a loaded field may take, matched exactly so that a JSON
+# true is no int; a field not named here must be an int.
+_NONE = type(None)
+_LOADED_TYPES = {
+    "preset": (str,),
+    "accepted": (bool,),
+    "min_size": (int, _NONE),
+    "population_size": (int, _NONE),
+    "path_tests_total": (int, _NONE),
+    "path_bin_width": (float, int, _NONE),
+    "path_bins": (dict, _NONE),
+    "error_hist": (dict, _NONE),
+    "leaf_hist": (dict, _NONE),
+}
+
+
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+# The int-keyed dicts, each with the check of an entry's value.
+_INT_KEYED = {
+    "error_hist": _is_int,
+    "leaf_hist": _is_int,
+    "path_bins": lambda v: type(v) is list and len(v) == 2 and all(map(_is_int, v)),
+}
 
 
 def _json_object(value) -> dict:
@@ -506,6 +531,18 @@ def _pick(get: Callable, source, names: Sequence[str], key: type) -> dict:
             value = {key(k): v for k, v in _json_object(value).items()}
         row[name] = value
     return row
+
+
+def _load(row: dict, names: Sequence[str]) -> dict:
+    """`names` of a loaded JSON object, each checked for its JSON type."""
+    picked = _pick(getitem, row, names, int)
+    for name, value in picked.items():
+        entry_ok = _INT_KEYED.get(name)
+        if type(value) not in _LOADED_TYPES.get(name, (int,)) or (
+            value is not None and entry_ok is not None and not all(map(entry_ok, value.values()))
+        ):
+            raise TypeError(f"field {name!r} has the wrong type")
+    return picked
 
 
 # Each row is a fresh tree of plain values, so the encoder skips its check
@@ -542,18 +579,12 @@ def load_trial_records(path) -> list[tuple[str, TrialRecord]]:
                     continue
                 row = _json_object(json.loads(line))
                 buckets = {
-                    int(c): CardinalityBucket(
-                        **_pick(getitem, _json_object(b), _BUCKET_FIELDS, int)
-                    )
+                    int(c): CardinalityBucket(**_load(_json_object(b), _BUCKET_FIELDS))
                     for c, b in _json_object(row["buckets"]).items()
                 }
-                summary = ForestSummary(
-                    buckets=buckets, **_pick(getitem, row, _SUMMARY_FIELDS, int)
-                )
-                record = TrialRecord(
-                    summary=summary, **_pick(getitem, row, _RECORD_FIELDS, int)
-                )
-                out.append((row["preset"], record))
+                summary = ForestSummary(buckets=buckets, **_load(row, _SUMMARY_FIELDS))
+                record = TrialRecord(summary=summary, **_load(row, _RECORD_FIELDS))
+                out.append((_load(row, ("preset",))["preset"], record))
             except KeyError as e:
                 raise ExperimentError(f"{path}: line {line_no}: missing field {e}") from None
             except (TypeError, ValueError) as e:

@@ -8,7 +8,7 @@ the routing rule already forbids, so nothing is lost by construction.
 
 Three routes to the same forest live here, on purpose:
 
-* `iter_consistent` / `enumerate_consistent`: the search enumerator.
+* `iter_consistent`: the search enumerator.
   Depth-first over choice points with budget pruning; yields actual trees
   in a documented deterministic order (subtree sizes ascending, then
   feature index, then child budget compositions lexicographically with the
@@ -20,11 +20,13 @@ Three routes to the same forest live here, on purpose:
   to small schemas.
 * `forest_summary`: per-cardinality accumulation without storing trees.
   The algebraic mode is one recursion, two algebras: `_solve` memoizes
-  over (train, test, population, usable-feature) subproblems, multiplies
-  the profiles of each split's open children and attaches the split with
-  its closed leaves' (misclassified weight, leaves, path tests); what a
-  profile holds is the algebra's business.  `_CountAlgebra` keeps exact
-  Python-int tree counts keyed on one packed int per (splits,
+  over (train rows, usable features) subproblems, which fix the test and
+  population rows, multiplies the profiles of each split's open children
+  and attaches the split with its closed leaves' (misclassified weight,
+  leaves, path tests); what a profile holds is the algebra's business.
+  Every row of the train, test and population multisets has its own bit
+  in `_Router`'s masks, so each weight is a popcount.  `_CountAlgebra`
+  keeps exact Python-int tree counts keyed on one packed int per (splits,
   misclassified weight, leaves, path tests), the last two only when
   tracked, so no count is fixed-width and none can wrap; `_MinSizeAlgebra`
   is min-plus, giving `min_consistent_size` in one pass.  This is what
@@ -47,9 +49,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import tree as treemod
 from .dataset import Dataset, LabeledExample
@@ -87,46 +90,37 @@ def _iter_bits(x: int) -> Iterator[int]:
 
 
 class _Router:
-    """Bitset routing tables over the distinct instances of a multiset.
+    """Bitset routing tables over the rows of a multiset.
 
-    Bit i of a node's set stands for distinct instance i.  Per-class weights
-    keep duplicate rows (and even conflicting labels) exact: purity means
-    exactly one class has weight, and majority/misclassification sums are
-    taken over weights.
+    Every row has its own bit, and the rows of one (instance, label) pair
+    sit on adjacent bits, so every weight is a popcount: duplicate rows
+    (and even conflicting labels) count exactly, purity means exactly one
+    class mask meets the set, and majority and misclassification compare
+    bit counts.  `inst_mask` has one bit per distinct instance (its first
+    row), for the bounds that count instances rather than rows; `n` is the
+    number of distinct instances.
     """
 
     def __init__(self, data: Dataset):
         schema = data.schema
         self.arities = schema.arities
         self.n_classes = schema.n_classes
-        index: dict[tuple, int] = {}
-        instances: list[tuple] = []
-        class_w: list[list[int]] = []
-        for ex in data.examples:
-            i = index.get(ex.instance)
-            if i is None:
-                i = index[ex.instance] = len(instances)
-                instances.append(ex.instance)
-                class_w.append([0] * self.n_classes)
-            class_w[i][ex.label] += 1
-        self.instances = instances
-        self.n = len(instances)
-        self.class_w = class_w
-        self.total_w = [sum(w) for w in class_w]
-        self.full = (1 << self.n) - 1
-        self.value_mask = [
-            [0] * a for a in self.arities
-        ]
-        for i, inst in enumerate(instances):
-            for f, v in enumerate(inst):
-                self.value_mask[f][v] |= 1 << i
+        self.value_mask = [[0] * a for a in self.arities]
         self.class_mask = [0] * self.n_classes
-        for i, w in enumerate(class_w):
-            for c in range(self.n_classes):
-                if w[c]:
-                    self.class_mask[c] |= 1 << i
-        self.grand_total = sum(self.total_w)
-        self._uniform = all(t == 1 for t in self.total_w)
+        self.inst_mask = 0
+        seen: set[tuple] = set()
+        pos = 0
+        for (inst, label), w in Counter((ex.instance, ex.label) for ex in data.examples).items():
+            run = ((1 << w) - 1) << pos
+            for f, v in enumerate(inst):
+                self.value_mask[f][v] |= run
+            self.class_mask[label] |= run
+            if inst not in seen:
+                seen.add(inst)
+                self.inst_mask |= 1 << pos
+            pos += w
+        self.n = len(seen)
+        self.full = (1 << pos) - 1
 
     def classes_present(self, bits: int) -> list[int]:
         return [c for c in range(self.n_classes) if bits & self.class_mask[c]]
@@ -141,29 +135,12 @@ class _Router:
                 found = c
         return found
 
-    def weight(self, bits: int) -> int:
-        if self._uniform:
-            return bits.bit_count()
-        return sum(self.total_w[i] for i in _iter_bits(bits))
-
-    def class_weight(self, bits: int, c: int) -> int:
-        masked = bits & self.class_mask[c]
-        if self._uniform:
-            # one row per distinct instance, so membership is the weight
-            return masked.bit_count()
-        return sum(self.class_w[i][c] for i in _iter_bits(masked))
-
     def wrong_weight(self, bits: int, label: int) -> int:
-        return self.weight(bits) - self.class_weight(bits, label)
+        return (bits & ~self.class_mask[label]).bit_count()
 
     def majority(self, bits: int) -> int:
         """Heaviest class in `bits`, ties to the smallest class index."""
-        best, best_w = 0, -1
-        for c in range(self.n_classes):
-            w = self.class_weight(bits, c)
-            if w > best_w:
-                best, best_w = c, w
-        return best
+        return max(range(self.n_classes), key=lambda c: (bits & self.class_mask[c]).bit_count())
 
 
 def _effective_cap(limits: EnumerationLimits, router: _Router) -> int:
@@ -235,7 +212,7 @@ def iter_consistent(train: Dataset, limits: EnumerationLimits = EnumerationLimit
             for v in nonempty:
                 kb = kid_bits[v]
                 lo = lower_bound(kb)
-                hi = min(size - 1, kb.bit_count() - 1)
+                hi = min(size - 1, (kb & r.inst_mask).bit_count() - 1)
                 if lo > hi:
                     feasible = False
                     break
@@ -279,23 +256,6 @@ def iter_consistent(train: Dataset, limits: EnumerationLimits = EnumerationLimit
         if limits.max_trees and count > limits.max_trees:
             raise EnumerationTruncated(limits.max_trees)
         yield t
-
-
-def enumerate_consistent(
-    train: Dataset,
-    limits: EnumerationLimits = EnumerationLimits(),
-    visitor: Callable[[Node], bool | None] = lambda t: None,
-) -> int:
-    """Invoke `visitor` once per consistent tree; returns the visit count.
-
-    A visitor returning False stops the enumeration early.
-    """
-    count = 0
-    for t in iter_consistent(train, limits):
-        count += 1
-        if visitor(t) is False:
-            break
-    return count
 
 
 # ----------------------------------------------------------- naive oracle
@@ -544,9 +504,10 @@ def _summary_algebraic(train, test, limits, population, track) -> ForestSummary:
         raise ValueError("training set is empty")
     te = _Router(test if test is not None else Dataset(train.schema, ()))
     cap = _effective_cap(limits, tr)
+    test_weight = te.full.bit_count()
     npop = len(population) if population is not None else None
     alg = _CountAlgebra(
-        cap, te.grand_total, max(tr.arities), track, track.error_hist and test is not None, npop
+        cap, test_weight, max(tr.arities), track, track.error_hist and test is not None, npop
     )
     # the population is a label-0 multiset, routed like the training set
     pop = (
@@ -554,10 +515,10 @@ def _summary_algebraic(train, test, limits, population, track) -> ForestSummary:
         if alg.use_path
         else None
     )
-    buckets, bins = alg.tables(_solve(alg, tr, te, pop, cap))
+    buckets, bins = alg.tables(_solve(alg, tr, te, pop))
     summary = ForestSummary(
         buckets=buckets,
-        test_weight=te.grand_total,
+        test_weight=test_weight,
         population_size=npop,
         path_bin_width=track.path_bins,
         path_bins=bins,
@@ -567,28 +528,32 @@ def _summary_algebraic(train, test, limits, population, track) -> ForestSummary:
     return summary
 
 
-def _solve(alg, tr: _Router, te: _Router, pop: _Router | None, cap: int):
-    """Profile, in algebra `alg`, of every consistent tree within `cap` splits.
+def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
+    """Profile, in algebra `alg`, of every consistent tree.
 
-    One memoized recursion over (train, test, population, usable-feature)
-    bitsets; `pop` is None when no population is tracked, which keeps its
-    masks out of the per-split loop.  Each split multiplies its open
-    children's profiles (`alg.mul`) and is attached with its closed leaves'
-    misclassified test weight, leaf count and path tests (`alg.attach`).
+    One memoized recursion over subproblems (train rows, usable features);
+    `pop` is None when no population is tracked, which keeps its masks out
+    of the per-split loop.  Each split multiplies its open children's
+    profiles (`alg.mul`) and is attached with its closed leaves'
+    misclassified test weight, leaf count and path tests (`alg.attach`),
+    which also applies the algebra's split cap, if any.
     """
     sole = tr.sole_class(tr.full)
     if sole is not None:
         return alg.leaf(te.wrong_weight(te.full, sole))
-    memo: dict[tuple[int, int, int, int], object] = {}
+    memo: dict[tuple[int, int], object] = {}
 
     def solve(tr_bits: int, te_bits: int, pop_bits: int, usable: int):
-        key = (tr_bits, te_bits, pop_bits, usable)
+        # The used features are those not in `usable`, and the train rows
+        # (never empty) all share their values on them, which fixes the
+        # path; the test and population rows are those the path admits, so
+        # (tr_bits, usable) determines te_bits and pop_bits.
+        key = (tr_bits, usable)
         got = memo.get(key)
         if got is not None:
             return got
         out = alg.zero()
-        max_b = min(cap, tr_bits.bit_count() - 1)
-        path = pop.weight(pop_bits) if pop is not None else 0
+        path = pop_bits.bit_count()
         for f in _iter_bits(usable):
             tr_kids = [tr_bits & m for m in tr.value_mask[f]]
             nonempty = [v for v, kb in enumerate(tr_kids) if kb]
@@ -615,7 +580,7 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None, cap: int):
                     continue
                 part = solve(kb, te_kids[v], pop_kids[v] if pop is not None else 0, child_usable)
                 acc = part if acc is None else alg.mul(acc, part)
-            out = alg.attach(out, acc, max_b, misc, leaves, path)
+            out = alg.attach(out, acc, misc, leaves, path)
         memo[key] = out
         return out
 
@@ -625,12 +590,14 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None, cap: int):
 
 # Algebras.  zero() is the profile of no trees and leaf(misc) that of the
 # lone leaf; mul(a, b) combines independent children (never mutating
-# either); attach(out, acc, max_b, misc, leaves, path) adds to `out` the
-# trees of one split whose open children multiplied to `acc` (None when
-# every child is a closed leaf), one split deeper, within `max_b` splits;
-# tables(profile) gives the summary's buckets and path bins.  Two algebras:
-# `_CountAlgebra` counts trees exactly in Python ints, `_MinSizeAlgebra`
-# is min-plus.
+# either); attach(out, acc, misc, leaves, path) adds to `out` the trees of
+# one split whose open children multiplied to `acc` (None when every child
+# is a closed leaf), one split deeper; tables(profile) gives the summary's
+# buckets and path bins.  Two algebras: `_CountAlgebra` counts trees
+# exactly in Python ints within its split cap, `_MinSizeAlgebra` is
+# min-plus.  Only the cap bounds a profile: every split parts its rows
+# into at least two nonempty children, so a tree over d distinct training
+# instances has at most d - 1 splits with no bound of its own.
 
 
 class _CountAlgebra:
@@ -699,13 +666,13 @@ class _CountAlgebra:
                     out[k] = get(k, 0) + c1 * c2
         return out
 
-    def attach(self, out, acc, max_b, misc, leaves, path) -> dict[int, int]:
+    def attach(self, out, acc, misc, leaves, path) -> dict[int, int]:
         base = self.key(1, misc, leaves, path)
+        limit = self.child_limit
         if acc is None:
-            if max_b >= 1:
+            if limit:  # the cap admits one split
                 out[base] = out.get(base, 0) + 1
             return out
-        limit = max_b << self.split_shift
         get = out.get
         for k, c in acc.items():
             if k < limit:
@@ -746,7 +713,11 @@ class _CountAlgebra:
 
 
 class _MinSizeAlgebra:
-    """Min-plus: the fewest splits of any consistent tree, inf when none."""
+    """Min-plus: the fewest splits of any consistent tree, inf when none.
+
+    It needs no cap: some tree fits a cap exactly when the fewest splits
+    over all trees do, so the caller compares the one result with its cap.
+    """
 
     def zero(self):
         return math.inf
@@ -757,9 +728,8 @@ class _MinSizeAlgebra:
     def mul(self, a, b):
         return a + b
 
-    def attach(self, out, acc, max_b, misc, leaves, path):
-        size = 1 if acc is None else 1 + acc
-        return min(out, size) if size <= max_b else out
+    def attach(self, out, acc, misc, leaves, path):
+        return min(out, 1 if acc is None else 1 + acc)
 
 
 # ------------------------------------------------------------- min size
@@ -775,5 +745,5 @@ def min_consistent_size(train: Dataset, max_nodes: int | None = None) -> int | N
         raise ValueError("training set is empty")
     hard = r.n - 1
     cap = hard if max_nodes is None else min(max_nodes, hard)
-    size = _solve(_MinSizeAlgebra(), r, _Router(Dataset(train.schema, ())), None, cap)
+    size = _solve(_MinSizeAlgebra(), r, _Router(Dataset(train.schema, ())), None)
     return size if size <= cap else None

@@ -43,11 +43,6 @@ class SplitMix64:
             if v < n:
                 return v
 
-    def choice(self, seq):
-        if not seq:
-            raise ValueError("choice() on empty sequence")
-        return seq[self.below(len(seq))]
-
     def sample_indices(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n), uniform over subsets.
 

@@ -1,5 +1,6 @@
 """Seeded trial runner: determinism, presets, filters, emitted files."""
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -45,6 +46,55 @@ def test_preset_names_cover_the_built_in_set():
         assert cfg.legs and cfg.name == n
     with pytest.raises(ExperimentError):
         preset("fig99")
+
+
+# SHA-256 of (trial_records.jsonl, run_manifest.csv) for presets at seed 9,
+# fig13 cut to its first 40 cap8 trials.  Both files hold only ints,
+# strings and literal floats such as fig9's bin width, so the digests do
+# not depend on the Python version; a change to them is a change of output.
+_PINNED_DIGESTS = {
+    "fig1": (
+        "e7631c393706c3e3017f8f0931f44abff593137f3e34fd0db7a507eeed076ce6",
+        "2b23bb99f5dac5440498c04d6c36835a5244917863c49545b7e25a673725c958",
+    ),
+    "fig4": (
+        "de4dcf639d9bae837a755d162c16c87a559f9d68468587579daea10abddf395f",
+        "e2b4ba4eed13b4b5b6882f4a9d28a7f321c67e8785ed74bc8560b18651c586a9",
+    ),
+    "fig5": (
+        "bdef5441e9f68a2627596e04d079d5030a0818a4ef8c6bfea59b9481744df8a4",
+        "2033e8ef1beed62effe8da0f17de49b9ace051757b40dd32ec29b8914fe9ee5e",
+    ),
+    "fig8": (
+        "314016c5da4eb798342c9afb362e4ab3d69c011dd3cdc2155168689153f45bde",
+        "3b1d138f92f76c478feb6b6c953a768009bbfaf8c2ed712cf43403550d5037f2",
+    ),
+    "fig9": (
+        "a9d64aa8577d45ac63ebadcbe40c572b4032e4a26a5e0d501995df221de60c7f",
+        "77485da0dc8b007ab3e9a3be9c7cb85e8504b2359ae0c9829e3f2730148c3a71",
+    ),
+    "fig14": (
+        "74626da0e8f3b5e7c89787c845eba2d49fff1caab1953ea21b27be04c82a71db",
+        "21804b777ad2f9cc9b9425ec8a7eddfbdb00785f761ce1bf3823a9df6036d64c",
+    ),
+    "fig13": (
+        "ce48e8472d4089d5675cda99b06c444c7a99b8f4e28800dc1382eeae048a96b0",
+        "de609faf204e2b66550e5a4dfbeac2053c9ea3bca8fd877d86c346044021f6f2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_DIGESTS))
+def test_preset_outputs_keep_their_bytes(tmp_path, name):
+    cfg = replace(select_legs(preset(name)), master_seed=9)
+    if name == "fig13":
+        cfg = replace(cfg, legs=tuple(replace(l, trial_count=40) for l in cfg.legs))
+    emit_all(cfg, run_trials(cfg, threads=1), str(tmp_path))
+    got = tuple(
+        hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+        for f in ("trial_records.jsonl", "run_manifest.csv")
+    )
+    assert got == _PINNED_DIGESTS[name]
 
 
 def test_config_validation_rejects_bad_combinations():
@@ -348,6 +398,11 @@ def _without(row, field):
     return {k: v for k, v in row.items() if k != field}
 
 
+def _with_bucket_field(row, field, value):
+    first = next(iter(row["buckets"]))
+    return {**row, "buckets": {first: {**row["buckets"][first], field: value}}}
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -355,8 +410,19 @@ def _without(row, field):
         lambda row: json.dumps({**row, "buckets": list(row["buckets"].values())}).encode(),
         lambda row: json.dumps({**row, "path_bins": list(row["path_bins"].values())}).encode(),
         lambda row: json.dumps(row).encode() + b"\n\xff\xfe\n",
+        lambda row: json.dumps({**row, "preset": 1}).encode(),
+        lambda row: json.dumps(_with_bucket_field(row, "tree_count", "12")).encode(),
+        lambda row: json.dumps({**row, "accepted": "yes"}).encode(),
     ],
-    ids=["no-preset", "buckets-list", "path-bins-list", "not-utf8"],
+    ids=[
+        "no-preset",
+        "buckets-list",
+        "path-bins-list",
+        "not-utf8",
+        "int-preset",
+        "str-tree-count",
+        "str-accepted",
+    ],
 )
 def test_trial_records_loader_rejects_malformed_rows(tmp_path, record_row, make):
     p = tmp_path / "bad.jsonl"

@@ -1,5 +1,7 @@
 """Enumeration routes agree: search enumerator, naive oracle, algebraic sums."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,6 @@ from forestscope import (
     binary_schema,
     bundled_dataset,
     classify,
-    enumerate_consistent,
     enumerate_naive,
     forest_summary,
     format_tree,
@@ -108,18 +109,6 @@ def test_empty_branch_takes_parent_majority():
     for t in rooted_on_size:
         assert t.children[2] == Leaf(0)
     assert canon(iter_consistent(data), schema) == canon(enumerate_naive(data), schema)
-
-
-def test_visitor_can_stop_early():
-    data = apply_concept(get_concept("xyz-or-ab"))
-    seen = []
-
-    def visit(t):
-        seen.append(t)
-        return len(seen) < 3
-
-    assert enumerate_consistent(data, EnumerationLimits(max_nodes=9), visit) == 3
-    assert len(seen) == 3
 
 
 def test_truncation_raises_on_both_routes():
@@ -412,6 +401,52 @@ def test_stream_and_algebraic_agree_on_lenses(seed, with_replacement, cap, track
     a = forest_summary(train, test, lim, pop, track, mode="stream")
     b = forest_summary(train, test, lim, pop, track, mode="algebraic")
     assert a == b
+
+
+def _repeat(rows, k):
+    return [row for row in rows for _ in range(k)]
+
+
+@pytest.mark.property_based
+@given(st.integers(0, 2**32), st.integers(2, 3), st.sampled_from([None, 3, 5]))
+@settings(max_examples=100, deadline=None)
+def test_repeated_rows_weigh_exactly_on_the_algebraic_route(seed, k, cap):
+    # k copies of every training row keep their relative weights, so the
+    # forest and its empty-branch majorities stay; k copies of every test
+    # row or population instance multiply what they weigh by k
+    data = bundled_dataset("lenses")
+    r = SplitMix64(seed)
+    train = sample_with_replacement(data, 4 + r.below(10), r)
+    test = sample_with_replacement(data, 1 + r.below(24), r)
+    pop = list(instance_space(data.schema))
+    lim = EnumerationLimits(max_nodes=cap)
+    track = TrackOptions(leaf_hist=True, path_length=True, path_bins=0.25)
+    base = forest_summary(train, test, lim, pop, track)
+
+    train_k = Dataset(data.schema, tuple(_repeat(train.examples, k)))
+    assert list(iter_consistent(train_k, lim)) == list(iter_consistent(train, lim))
+    assert forest_summary(train_k, test, lim, pop, track) == base
+    assert min_consistent_size(train_k, cap) == min_consistent_size(train, cap)
+
+    test_k = Dataset(data.schema, tuple(_repeat(test.examples, k)))
+    scaled = forest_summary(train, test_k, lim, pop, track)
+    assert scaled.test_weight == k * base.test_weight
+    assert scaled.buckets == {
+        c: replace(
+            b,
+            misclassified_total=k * b.misclassified_total,
+            error_hist={k * e: n for e, n in b.error_hist.items()},
+        )
+        for c, b in base.buckets.items()
+    }
+    assert scaled.path_bins == {i: [n, k * m] for i, (n, m) in base.path_bins.items()}
+
+    wide = forest_summary(train, test, lim, _repeat(pop, k), track)
+    assert wide.population_size == k * base.population_size
+    assert wide.path_bins == base.path_bins
+    assert wide.buckets == {
+        c: replace(b, path_tests_total=k * b.path_tests_total) for c, b in base.buckets.items()
+    }
 
 
 @pytest.mark.property_based
