@@ -327,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="dataset file")
     p.add_argument("--max-nodes", type=_non_negative, default=None, help="split budget")
     p.add_argument(
-        "--max-trees", type=_non_negative, default=50_000_000, help="safety cap, 0 = none"
+        "--max-trees", type=_non_negative, default=50_000_000,
+        help="safety cap on --emit-trees, 0 = none",
     )
     p.add_argument("--emit-trees", action="store_true", help="print each tree")
     p.set_defaults(fn=_cmd_enumerate)

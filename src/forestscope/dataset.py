@@ -43,8 +43,12 @@ class DatasetFormatError(DatasetError):
     """Malformed dataset file; carries the 1-based line number."""
 
     def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+        super().__init__(line_no, message)  # args rebuild it when unpickled
         self.line_no = line_no
+        self.message = message
+
+    def __str__(self) -> str:
+        return f"line {self.line_no}: {self.message}"
 
 
 class InconsistentDataError(DatasetError):

@@ -8,11 +8,11 @@ CSV tables, a JSONL record dump, and optional SVG charts.
 
 Determinism contract: each trial derives its seed from (master_seed,
 seed_scope[:leg], trial index) alone, and per-trial randomness is consumed
-in a fixed documented order (reference-tree pick, then the sample draws,
-then any redraws).  Scheduling therefore cannot change any emitted byte:
-wall-clock timings go to progress output only, never into the CSV tables
-or the record dump.  Presets that reanalyze one underlying run share a
-seed_scope so their trials are literally the same draws.
+in a fixed documented order (reference-tree pick, then the sample draws).
+Scheduling therefore cannot change any emitted byte: wall-clock timings go
+to progress output only, never into the CSV tables or the record dump.
+Presets that reanalyze one underlying run share a seed_scope so their
+trials are literally the same draws.
 """
 
 from __future__ import annotations
@@ -49,10 +49,8 @@ from .forest import (
 from .rng import SplitMix64, derive_seed
 from .stats import TrialRecord
 
-RETRY_BOUND = 10_000
-
 _SPLIT_MODES = ("disjoint", "with_replacement", "leave_one_out")
-_FILTER_MODES = ("none", "redraw", "post_filter")
+_FILTER_MODES = ("none", "post_filter")
 _ANALYSES = (
     "cardinality",
     "min_size_groups",
@@ -91,7 +89,7 @@ class ExperimentConfig:
     leaf_coverage: int | None = None
     master_seed: int = 0
     seed_scope: str = ""
-    max_trees: int = 50_000_000
+    max_trees: int = 50_000_000  # read only by perfbench/workloads.py; trials ignore it
     error_hist: bool = True
     leaf_hist: bool = False
     path_bin_width: float | None = None
@@ -205,39 +203,26 @@ def _split_leave_one_out(data: Dataset, t: int) -> tuple[Dataset, Dataset]:
 
 
 def _draw(ctx: _RunContext, leg: LegSpec, t: int, rng: SplitMix64):
-    """Returns (train, test, accepted, rejections).  Draw order is fixed."""
+    """Returns (train, test, accepted).  Draw order is fixed."""
     config = ctx.config
     if config.split_mode == "leave_one_out":
         train, test = _split_leave_one_out(ctx.data, t)
-        return train, test, True, 0
+        return train, test, True
     if config.split_mode == "with_replacement":
         train = sample_with_replacement(ctx.data, leg.n_train, rng)
         test = sample_with_replacement(ctx.data, config.test_size, rng)
-        return train, test, True, 0
+        return train, test, True
     if config.leaf_coverage is not None:
         reference = ctx.reference_pool[rng.below(len(ctx.reference_pool))]
         train, test = leaf_coverage_sample(
             ctx.data, reference, config.leaf_coverage, leg.n_train, rng
         )
-        return train, test, True, 0
-    class_bounds = dict(config.class_bounds) or None
-    value_bounds = dict(config.value_bounds) or None
-    if config.filter_mode == "redraw":
-        rejections = 0
-        while True:
-            train, test = split_disjoint(ctx.data, leg.n_train, rng)
-            if representative_filter(train, class_bounds, value_bounds) is None:
-                return train, test, True, rejections
-            rejections += 1
-            if rejections > RETRY_BOUND:
-                raise ExperimentError(
-                    f"no representative sample within {RETRY_BOUND} redraws"
-                )
+        return train, test, True
     train, test = split_disjoint(ctx.data, leg.n_train, rng)
     if config.filter_mode == "post_filter":
-        ok = representative_filter(train, class_bounds, value_bounds) is None
-        return train, test, ok, 0 if ok else 1
-    return train, test, True, 0
+        bounds = (dict(config.class_bounds) or None, dict(config.value_bounds) or None)
+        return train, test, representative_filter(train, *bounds) is None
+    return train, test, True
 
 
 def _run_one(ctx: _RunContext, leg_index: int, t: int) -> TrialRecord:
@@ -246,8 +231,8 @@ def _run_one(ctx: _RunContext, leg_index: int, t: int) -> TrialRecord:
     scope = config.scope + (f":{leg.label}" if leg.label else "")
     seed = derive_seed(config.master_seed, scope, t)
     rng = SplitMix64(seed)
-    train, test, accepted, rejections = _draw(ctx, leg, t, rng)
-    limits = EnumerationLimits(max_nodes=leg.max_nodes, max_trees=config.max_trees)
+    train, test, accepted = _draw(ctx, leg, t, rng)
+    limits = EnumerationLimits(max_nodes=leg.max_nodes)
     track = TrackOptions(
         error_hist=config.error_hist,
         leaf_hist=config.leaf_hist,
@@ -265,7 +250,7 @@ def _run_one(ctx: _RunContext, leg_index: int, t: int) -> TrialRecord:
         min_size=summary.min_size,
         summary=summary,
         accepted=accepted,
-        rejections=rejections,
+        rejections=0 if accepted else 1,  # each trial draws once
         wall_ms=wall_ms,
     )
 
@@ -380,7 +365,8 @@ def emit_all(
             # One set of vectors per leg serves every pairwise table.
             tails = [stats._tail_vectors(t) for t in used]
             for baseline, k in pair_runs:
-                rows = stats._pairwise(tails, baseline, None if k is None else (k,), "pair")
+                chosen = stats._with_min_size_in(tails, None if k is None else (k,))
+                rows = stats._pairwise(chosen, baseline)
                 pair.append((key + (baseline, "" if k is None else str(k)), rows))
         if "policy" in config.analyses:
             policy.append((key, stats.derive_policy(used)))

@@ -60,17 +60,22 @@ from .tree import Leaf, Node, Split
 
 
 class EnumerationTruncated(Exception):
-    """The safety cap on trees per enumeration was exceeded."""
+    """A tree walk passed the safety cap; `args` is (cap,), so it pickles."""
 
     def __init__(self, cap: int):
-        super().__init__(f"enumeration exceeded the safety cap of {cap} trees")
+        super().__init__(cap)
         self.cap = cap
+
+    def __str__(self) -> str:
+        return f"enumeration exceeded the safety cap of {self.cap} trees"
 
 
 @dataclass(frozen=True)
 class EnumerationLimits:
     """max_nodes: split budget (None = no explicit cap).
-    max_trees: safety cap on enumerated trees, 0 = unlimited."""
+    max_trees: safety cap on the trees a walk visits (`iter_consistent`,
+    `enumerate_naive`, mode 'stream'), 0 = unlimited; the algebraic
+    summary walks no trees and ignores it."""
 
     max_nodes: int | None = None
     max_trees: int = 50_000_000
@@ -143,11 +148,9 @@ class _Router:
         return max(range(self.n_classes), key=lambda c: (bits & self.class_mask[c]).bit_count())
 
 
-def _effective_cap(limits: EnumerationLimits, router: _Router) -> int:
-    hard = max(router.n - 1, 0)
-    if limits.max_nodes is None:
-        return hard
-    return min(limits.max_nodes, hard)
+def _effective_cap(max_nodes: int | None, distinct: int) -> int:
+    hard = distinct - 1
+    return hard if max_nodes is None else min(max_nodes, hard)
 
 
 def _log_bound(n_classes_present: int, max_arity: int) -> int:
@@ -166,7 +169,7 @@ def iter_consistent(train: Dataset, limits: EnumerationLimits = EnumerationLimit
     r = _Router(train)
     if r.n == 0:
         raise ValueError("training set is empty")
-    cap = _effective_cap(limits, r)
+    cap = _effective_cap(limits.max_nodes, r.n)
     max_arity = max(r.arities)
     all_features = (1 << len(r.arities)) - 1
     lb_cache: dict[int, int] = {}
@@ -279,8 +282,7 @@ def enumerate_naive(train: Dataset, limits: EnumerationLimits = EnumerationLimit
         raise ValueError("naive enumeration is bounded to small schemas")
     if not train.examples:
         raise ValueError("training set is empty")
-    distinct = train.distinct_instances()
-    cap = distinct - 1 if limits.max_nodes is None else min(limits.max_nodes, distinct - 1)
+    cap = _effective_cap(limits.max_nodes, train.distinct_instances())
     candidates = _syntactic_trees(schema.arities, schema.n_classes, cap)
     if limits.max_trees and len(candidates) > limits.max_trees:
         raise EnumerationTruncated(limits.max_trees)
@@ -426,7 +428,8 @@ def forest_summary(
     mode: 'algebraic' runs the algebraic route, which serves every tracking
     option; 'stream' walks every tree with the search enumerator and
     measures it directly, the oracle the tests compare the algebraic route
-    against.  Raises EnumerationTruncated past limits.max_trees.
+    against.  Only mode 'stream' raises EnumerationTruncated past
+    limits.max_trees.
     """
     if mode not in ("stream", "algebraic"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -503,7 +506,7 @@ def _summary_algebraic(train, test, limits, population, track) -> ForestSummary:
     if tr.n == 0:
         raise ValueError("training set is empty")
     te = _Router(test if test is not None else Dataset(train.schema, ()))
-    cap = _effective_cap(limits, tr)
+    cap = _effective_cap(limits.max_nodes, tr.n)
     test_weight = te.full.bit_count()
     npop = len(population) if population is not None else None
     alg = _CountAlgebra(
@@ -516,16 +519,13 @@ def _summary_algebraic(train, test, limits, population, track) -> ForestSummary:
         else None
     )
     buckets, bins = alg.tables(_solve(alg, tr, te, pop))
-    summary = ForestSummary(
+    return ForestSummary(
         buckets=buckets,
         test_weight=test_weight,
         population_size=npop,
         path_bin_width=track.path_bins,
         path_bins=bins,
     )
-    if limits.max_trees and summary.total_trees > limits.max_trees:
-        raise EnumerationTruncated(limits.max_trees)
-    return summary
 
 
 def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
@@ -743,7 +743,5 @@ def min_consistent_size(train: Dataset, max_nodes: int | None = None) -> int | N
     r = _Router(train)
     if r.n == 0:
         raise ValueError("training set is empty")
-    hard = r.n - 1
-    cap = hard if max_nodes is None else min(max_nodes, hard)
     size = _solve(_MinSizeAlgebra(), r, _Router(Dataset(train.schema, ())), None)
-    return size if size <= cap else None
+    return size if size <= _effective_cap(max_nodes, r.n) else None

@@ -239,15 +239,13 @@ def pairwise(
     trials: Sequence[TrialRecord],
     baseline: str = "all",
     min_size_in: Sequence[int] | None = None,
-    pooling: str = "pair",
 ) -> list[PairwiseRow]:
     """Compare accuracy across tree pairs of different cardinalities.
 
     baseline 'all' pairs every smaller cardinality with every larger one;
     'min' fixes the smaller side to each trial's minimum size.  min_size_in
-    restricts to trials whose minimum size is in the given set.  pooling
-    'pair' divides summed pair counts (every pair weighs the same); 'trial'
-    averages per-trial probabilities (every trial weighs the same).
+    restricts to trials whose minimum size is in the given set.  Each
+    probability divides summed pair counts, so every pair weighs the same.
 
     Each trial's histograms become dense vectors over every size from its
     minimum to its maximum: error counts d_c[k], the strict tail
@@ -260,7 +258,7 @@ def pairwise(
     when it has at least one pair there.
     """
     chosen = _with_min_size_in(trials, min_size_in)
-    return _pairwise([_tail_vectors(t) for t in chosen], baseline, min_size_in, pooling)
+    return _pairwise([_tail_vectors(t) for t in chosen], baseline)
 
 
 def _with_min_size_in(trials, min_size_in):
@@ -272,24 +270,16 @@ def _with_min_size_in(trials, min_size_in):
     ]
 
 
-def _pairwise(
-    trials: Sequence[_TailVectors],
-    baseline: str,
-    min_size_in: Sequence[int] | None,
-    pooling: str,
-) -> list[PairwiseRow]:
-    """`pairwise` over trials already turned into `_tail_vectors`."""
+def _pairwise(chosen: Sequence[_TailVectors], baseline: str) -> list[PairwiseRow]:
+    """`pairwise` over trials already chosen by `_with_min_size_in` and
+    turned into `_tail_vectors`."""
     if baseline not in ("all", "min"):
         raise ValueError(f"unknown baseline {baseline!r}")
-    if pooling not in ("pair", "trial"):
-        raise ValueError(f"unknown pooling {pooling!r}")
-    chosen = _with_min_size_in(trials, min_size_in)
     denoms = {t.n_test for t in chosen}
     if len(denoms) > 1:
         raise ValueError(f"mixed test denominators {sorted(denoms)}")
     counts: dict[int, list[int]] = {}
     present: Counter[int] = Counter()
-    shares: dict[int, list[Fraction]] = {}
     for t in chosen:
         d, above, n, w = t.counts, t.above, t.totals, t.n_test + 1
         lead, lead_n = (d, n) if baseline == "all" else (d[:w], n[:1])
@@ -306,20 +296,11 @@ def _pairwise(
             slot[1] += e
             slot[2] += l
             present[diff] += 1
-            if pooling == "trial":
-                tri = shares.setdefault(diff, [Fraction(0)] * 3)
-                tri[0] += Fraction(s, pairs)
-                tri[1] += Fraction(e, pairs)
-                tri[2] += Fraction(l, pairs)
     rows = []
     for diff in sorted(counts):
         s, e, l = counts[diff]
         n = s + e + l
-        if pooling == "pair":
-            ps, pe, pl = Fraction(s, n), Fraction(e, n), Fraction(l, n)
-        else:
-            k = present[diff]
-            ps, pe, pl = (x / k for x in shares[diff])
+        ps, pe, pl = Fraction(s, n), Fraction(e, n), Fraction(l, n)
         rows.append(
             PairwiseRow(
                 diff=diff,

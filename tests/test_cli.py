@@ -83,11 +83,35 @@ def test_enumerate_needs_exactly_one_source(capsys, tmp_path):
 
 
 def test_enumerate_truncation_exits_nonzero(capsys):
+    # the cap guards the tree walk of --emit-trees; counting walks no trees
     code, _, err = run_main(
-        capsys, "enumerate", "--concept", "xyz-or-ab", "--max-trees", "10"
+        capsys, "enumerate", "--concept", "xyz-or-ab", "--emit-trees", "--max-trees", "10"
     )
     assert code == EXIT_FAILURE
-    assert "cap" in err
+    assert "enumeration exceeded the safety cap of 10 trees" in err
+    code, capped, _ = run_main(capsys, "enumerate", "--concept", "xyz-or-ab", "--max-trees", "10")
+    assert code == EXIT_OK
+    code, uncapped, _ = run_main(capsys, "enumerate", "--concept", "xyz-or-ab", "--max-trees", "0")
+    assert code == EXIT_OK
+    assert capped == uncapped
+    assert sum(int(line.split(",")[1]) for line in capped.splitlines()) > 10
+
+
+def test_mux6_counts_and_runs_past_the_tree_cap(tmp_path, capsys):
+    code, out, err = run_main(capsys, "enumerate", "--concept", "mux6")
+    assert code == EXIT_OK and err == ""
+    assert sum(int(line.split(",")[1]) for line in out.splitlines()) > 50_000_000
+    written = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"threads{threads}"
+        code, _, err = run_main(
+            capsys,
+            "experiment", "--concept", "mux6", "--n-train", "20", "--trials", "3",
+            "--seed", "1", "--threads", threads, "--out", str(out_dir), "--quiet",
+        )
+        assert code == EXIT_OK, err
+        written.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
+    assert written[0] == written[1]
 
 
 def test_enumerate_data_file(tmp_path, capsys):

@@ -1,18 +1,28 @@
 """Seeded trial runner: determinism, presets, filters, emitted files."""
 
 import hashlib
+import importlib
+import inspect
 import json
 import multiprocessing
 import os
+import pickle
+import pkgutil
 from xml.sax.saxutils import escape
 
 import pytest
 from dataclasses import replace
 
+import forestscope
 from forestscope import (
+    DatasetError,
+    DatasetFormatError,
+    EnumerationTruncated,
     ExperimentConfig,
+    InconsistentDataError,
     LegSpec,
     SchemaError,
+    TreeFormatError,
     emit_all,
     load_trial_records,
     preset,
@@ -105,7 +115,7 @@ def test_config_validation_rejects_bad_combinations():
     with pytest.raises(ExperimentError):
         small_config(split_mode="with_replacement")  # needs test_size
     with pytest.raises(ExperimentError):
-        small_config(split_mode="leave_one_out", filter_mode="redraw")
+        small_config(split_mode="leave_one_out", filter_mode="post_filter")
     with pytest.raises(ExperimentError):
         small_config(analyses=("path_length",))  # needs a bin width
     with pytest.raises(ExperimentError):
@@ -237,27 +247,6 @@ def test_leave_one_out_holds_out_each_row():
     )
     with pytest.raises(ExperimentError):
         run_trials(bad)  # trial count must equal the instance space size
-
-
-def test_redraw_filter_only_returns_passing_samples():
-    cfg = small_config(
-        filter_mode="redraw",
-        class_bounds=((1, (5, 8)),),
-        legs=(LegSpec(label="", n_train=20, trial_count=8, max_nodes=6),),
-    )
-    recs = run_trials(cfg)[0].records
-    assert all(r.accepted for r in recs)
-    assert any(r.rejections > 0 for r in recs)
-
-
-def test_redraw_filter_gives_up_on_unsatisfiable_bounds():
-    cfg = small_config(
-        filter_mode="redraw",
-        class_bounds=((1, (0, 0)),),
-        legs=(LegSpec(label="", n_train=20, trial_count=1, max_nodes=4),),
-    )
-    with pytest.raises(ExperimentError):
-        run_trials(cfg)
 
 
 def test_post_filter_marks_rather_than_redraws():
@@ -443,3 +432,39 @@ def test_trial_records_loader_needs_every_field(tmp_path, record_row):
         p.write_text(json.dumps(row) + "\n", encoding="utf-8")
         with pytest.raises(ExperimentError, match="missing field"):
             load_trial_records(str(p))
+
+
+def _package_exceptions():
+    found = set()
+    for info in pkgutil.iter_modules(forestscope.__path__):
+        module = importlib.import_module(f"forestscope.{info.name}")
+        for obj in vars(module).values():
+            if (
+                inspect.isclass(obj)
+                and issubclass(obj, BaseException)
+                and obj.__module__.startswith("forestscope.")
+            ):
+                found.add(obj)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+# one instance of every exception class the package defines
+_EXCEPTION_SAMPLES = {
+    DatasetError: DatasetError("bad data"),
+    DatasetFormatError: DatasetFormatError(3, "unknown class token 'x'"),
+    EnumerationTruncated: EnumerationTruncated(10),
+    ExperimentError: ExperimentError("bad config"),
+    InconsistentDataError: InconsistentDataError("two labels"),
+    SchemaError: SchemaError("bad schema"),
+    TreeFormatError: TreeFormatError("bad tree"),
+}
+
+
+@pytest.mark.parametrize("cls", _package_exceptions(), ids=lambda cls: cls.__name__)
+def test_every_exception_survives_pickling(cls):
+    # worker errors reach the parent pickled; they must read the same there
+    error = _EXCEPTION_SAMPLES[cls]
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is cls
+    assert str(back) == str(error)
+    assert vars(back) == vars(error)

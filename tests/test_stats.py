@@ -151,16 +151,6 @@ def test_pairwise_requires_histograms():
         pairwise([t], baseline="all")
 
 
-def test_pairwise_trial_pooling_weights_trials_equally():
-    # trial 0 has many pairs all favoring smaller; trial 1 has one pair favoring larger
-    t1 = rec(0, {2: (10, 10, 0, {0: 10}), 3: (10, 0, 40, {4: 10})}, 4)
-    t2 = rec(1, {2: (1, 0, 4, {4: 1}), 3: (1, 1, 0, {0: 1})}, 4)
-    by_pair = {r.diff: r for r in pairwise([t1, t2], baseline="all", pooling="pair")}
-    by_trial = {r.diff: r for r in pairwise([t1, t2], baseline="all", pooling="trial")}
-    assert by_pair[1].p_smaller_exact == Fraction(100, 101)
-    assert by_trial[1].p_smaller_exact == Fraction(1, 2)
-
-
 @pytest.mark.property_based
 @given(st.integers(0, 2**32))
 @settings(max_examples=100, deadline=None)
@@ -206,9 +196,9 @@ def test_pairwise_matches_brute_force_pair_enumeration(seed):
     assert set(got) == set(expect)
 
 
-def brute_force_pairwise(trials, baseline, min_size_in, pooling):
+def brute_force_pairwise(trials, baseline, min_size_in):
     """Every tree pair of every chosen trial, tallied one pair at a time."""
-    counts, present, shares = {}, {}, {}
+    counts, present = {}, {}
     for t in trials:
         if t.min_size is None or (min_size_in is not None and t.min_size not in min_size_in):
             continue
@@ -227,16 +217,9 @@ def brute_force_pairwise(trials, baseline, min_size_in, pooling):
         for diff, tally in per_diff.items():
             counts[diff] = [x + y for x, y in zip(counts.get(diff, [0, 0, 0]), tally)]
             present[diff] = present.get(diff, 0) + 1
-            shares[diff] = [
-                x + Fraction(y, sum(tally))
-                for x, y in zip(shares.get(diff, [0, 0, 0]), tally)
-            ]
     out = {}
     for diff, tally in counts.items():
-        if pooling == "pair":
-            probs = [Fraction(x, sum(tally)) for x in tally]
-        else:
-            probs = [x / present[diff] for x in shares[diff]]
+        probs = [Fraction(x, sum(tally)) for x in tally]
         out[diff] = (*tally, present[diff], *probs)
     return out
 
@@ -263,12 +246,11 @@ def gapped_trials(draw):
 @given(
     trials=gapped_trials(),
     baseline=st.sampled_from(["all", "min"]),
-    pooling=st.sampled_from(["pair", "trial"]),
     min_size_in=st.none() | st.sets(st.integers(1, 9), min_size=1, max_size=3),
 )
 @settings(max_examples=300, deadline=None)
-def test_pairwise_matches_brute_force_on_gapped_sizes(trials, baseline, pooling, min_size_in):
-    got = pairwise(trials, baseline=baseline, min_size_in=min_size_in, pooling=pooling)
+def test_pairwise_matches_brute_force_on_gapped_sizes(trials, baseline, min_size_in):
+    got = pairwise(trials, baseline=baseline, min_size_in=min_size_in)
     assert [r.diff for r in got] == sorted(r.diff for r in got)
     assert {
         r.diff: (
@@ -276,7 +258,7 @@ def test_pairwise_matches_brute_force_on_gapped_sizes(trials, baseline, pooling,
             r.p_smaller_exact, r.p_equal_exact, r.p_larger_exact,
         )
         for r in got
-    } == brute_force_pairwise(trials, baseline, min_size_in, pooling)
+    } == brute_force_pairwise(trials, baseline, min_size_in)
 
 
 @pytest.mark.parametrize("key", [-1, 5])
