@@ -322,13 +322,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--validate", metavar="FILE", help="check a dataset file")
     p.set_defaults(fn=_cmd_datasets)
 
-    p = sub.add_parser("enumerate", help="count (or dump) consistent trees")
+    p = sub.add_parser(
+        "enumerate",
+        help="count (or dump) consistent trees",
+        description=(
+            "Count consistent trees per split count, or print each one with "
+            "--emit-trees. --max-trees caps only the --emit-trees walk: "
+            "counting walks no trees, so it ignores the cap."
+        ),
+    )
     p.add_argument("--concept", help="built-in concept name")
     p.add_argument("--data", help="dataset file")
     p.add_argument("--max-nodes", type=_non_negative, default=None, help="split budget")
     p.add_argument(
         "--max-trees", type=_non_negative, default=50_000_000,
-        help="safety cap on --emit-trees, 0 = none",
+        help="safety cap on the trees --emit-trees prints, 0 = none; ignored without it",
     )
     p.add_argument("--emit-trees", action="store_true", help="print each tree")
     p.set_defaults(fn=_cmd_enumerate)

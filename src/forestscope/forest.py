@@ -41,8 +41,13 @@ Three routes to the same forest live here, on purpose:
 Budgets count splits.  `max_nodes=None` means no explicit cap, which is
 effectively (distinct training instances - 1): no consistent tree can use
 more, since every split strictly partitions a set of at least two distinct
-instances.  Empty branches (arity >= 3 only) become leaves labeled with the
-majority class of the parent's examples, ties to the smallest class index.
+instances.  The algebraic route cuts each subproblem at the budget its
+depth leaves: a subproblem whose path uses d features sits under d splits,
+so its trees keep at most cap - d, the depth bound DL8 (Nijssen & Fromont,
+KDD 2007) puts on memoized itemsets.  The memo key's usable features fix
+d, so the cut profile is the same wherever the subproblem recurs.  Empty
+branches (arity >= 3 only) become leaves labeled with the majority class
+of the parent's examples, ties to the smallest class index.
 """
 
 from __future__ import annotations
@@ -99,11 +104,14 @@ class _Router:
 
     Every row has its own bit, and the rows of one (instance, label) pair
     sit on adjacent bits, so every weight is a popcount: duplicate rows
-    (and even conflicting labels) count exactly, purity means exactly one
-    class mask meets the set, and majority and misclassification compare
-    bit counts.  `inst_mask` has one bit per distinct instance (its first
-    row), for the bounds that count instances rather than rows; `n` is the
-    number of distinct instances.
+    (and even conflicting labels) count exactly, and majority and
+    misclassification compare bit counts.  `row_class[i]` is the class of
+    row i and `other_mask[c]` holds every row not of class c, so purity
+    takes one probe: the lowest row of a set names the only class it can
+    be pure in, and the set is pure exactly when it misses that class's
+    `other_mask`.  `inst_mask` has one bit per distinct instance (its
+    first row), for the bounds that count instances rather than rows; `n`
+    is the number of distinct instances.
     """
 
     def __init__(self, data: Dataset):
@@ -112,6 +120,7 @@ class _Router:
         self.n_classes = schema.n_classes
         self.value_mask = [[0] * a for a in self.arities]
         self.class_mask = [0] * self.n_classes
+        self.row_class: list[int] = []
         self.inst_mask = 0
         seen: set[tuple] = set()
         pos = 0
@@ -120,28 +129,27 @@ class _Router:
             for f, v in enumerate(inst):
                 self.value_mask[f][v] |= run
             self.class_mask[label] |= run
+            self.row_class += [label] * w
             if inst not in seen:
                 seen.add(inst)
                 self.inst_mask |= 1 << pos
             pos += w
         self.n = len(seen)
         self.full = (1 << pos) - 1
+        self.other_mask = [self.full & ~m for m in self.class_mask]
 
     def classes_present(self, bits: int) -> list[int]:
         return [c for c in range(self.n_classes) if bits & self.class_mask[c]]
 
     def sole_class(self, bits: int) -> int | None:
-        """The single class with weight in `bits`, or None if impure."""
-        found = None
-        for c in range(self.n_classes):
-            if bits & self.class_mask[c]:
-                if found is not None:
-                    return None
-                found = c
-        return found
+        """The single class with weight in `bits`, or None if impure or empty."""
+        if not bits:
+            return None
+        c = self.row_class[(bits & -bits).bit_length() - 1]
+        return None if bits & self.other_mask[c] else c
 
     def wrong_weight(self, bits: int, label: int) -> int:
-        return (bits & ~self.class_mask[label]).bit_count()
+        return (bits & self.other_mask[label]).bit_count()
 
     def majority(self, bits: int) -> int:
         """Heaviest class in `bits`, ties to the smallest class index."""
@@ -535,25 +543,26 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
     `pop` is None when no population is tracked, which keeps its masks out
     of the per-split loop.  Each split multiplies its open children's
     profiles (`alg.mul`) and is attached with its closed leaves'
-    misclassified test weight, leaf count and path tests (`alg.attach`),
-    which also applies the algebra's split cap, if any.
+    misclassified test weight, leaf count and path tests (`alg.attach`).
+    Both take the room `alg.room(depth)` that a split at `depth` leaves its
+    children, which bounds the algebra's profiles by the splits left.
     """
     sole = tr.sole_class(tr.full)
     if sole is not None:
         return alg.leaf(te.wrong_weight(te.full, sole))
+    n_features = len(tr.arities)
+    rooms = [alg.room(depth) for depth in range(n_features + 1)]
+    # The used features are those not in `usable`, and the train rows
+    # (never empty) all share their values on them, which fixes the path
+    # and its depth; the test and population rows are those the path
+    # admits, so (tr_bits, usable) determines te_bits, pop_bits and the
+    # room.  Callers probe the memo before recursing.
     memo: dict[tuple[int, int], object] = {}
 
     def solve(tr_bits: int, te_bits: int, pop_bits: int, usable: int):
-        # The used features are those not in `usable`, and the train rows
-        # (never empty) all share their values on them, which fixes the
-        # path; the test and population rows are those the path admits, so
-        # (tr_bits, usable) determines te_bits and pop_bits.
-        key = (tr_bits, usable)
-        got = memo.get(key)
-        if got is not None:
-            return got
         out = alg.zero()
         path = pop_bits.bit_count()
+        room = rooms[n_features - usable.bit_count()]
         for f in _iter_bits(usable):
             tr_kids = [tr_bits & m for m in tr.value_mask[f]]
             nonempty = [v for v, kb in enumerate(tr_kids) if kb]
@@ -578,26 +587,36 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
                     misc += te.wrong_weight(te_kids[v], sole)
                     leaves += 1
                     continue
-                part = solve(kb, te_kids[v], pop_kids[v] if pop is not None else 0, child_usable)
-                acc = part if acc is None else alg.mul(acc, part)
-            out = alg.attach(out, acc, misc, leaves, path)
-        memo[key] = out
+                key = (kb, child_usable)
+                part = memo.get(key)
+                if part is None:
+                    part = memo[key] = solve(
+                        kb, te_kids[v], pop_kids[v] if pop is not None else 0, child_usable
+                    )
+                acc = part if acc is None else alg.mul(acc, part, room)
+            out = alg.attach(out, acc, misc, leaves, path, room)
         return out
 
-    all_features = (1 << len(tr.arities)) - 1
+    all_features = (1 << n_features) - 1
     return solve(tr.full, te.full, pop.full if pop is not None else 0, all_features)
 
 
 # Algebras.  zero() is the profile of no trees and leaf(misc) that of the
-# lone leaf; mul(a, b) combines independent children (never mutating
-# either); attach(out, acc, misc, leaves, path) adds to `out` the trees of
+# lone leaf; room(depth) is what a split at `depth` leaves its children;
+# mul(a, b, room) combines independent children (never mutating either);
+# attach(out, acc, misc, leaves, path, room) adds to `out` the trees of
 # one split whose open children multiplied to `acc` (None when every child
 # is a closed leaf), one split deeper; tables(profile) gives the summary's
 # buckets and path bins.  Two algebras: `_CountAlgebra` counts trees
 # exactly in Python ints within its split cap, `_MinSizeAlgebra` is
-# min-plus.  Only the cap bounds a profile: every split parts its rows
-# into at least two nonempty children, so a tree over d distinct training
-# instances has at most d - 1 splits with no bound of its own.
+# min-plus and ignores the room.  A profile is cut by depth: a subproblem
+# at depth d (d features used on its path) sits under d splits, so its
+# trees keep at most cap - d splits and the children of its split at most
+# cap - d - 1 together.  The memo key fixes d, the number of features not
+# in `usable`, so the cut profile it stores is the same wherever the
+# subproblem recurs.  No other bound is needed: every split parts its rows
+# into at least two nonempty children, so a tree over n distinct training
+# instances has at most n - 1 splits.
 
 
 class _CountAlgebra:
@@ -636,8 +655,7 @@ class _CountAlgebra:
         self.path_mask = (1 << path_bits) - 1
         self.leaf_mask = (1 << leaf_bits) - 1
         self.misc_mask = (1 << test_weight.bit_length()) - 1
-        # a split's open children together hold at most cap - 1 splits
-        self.child_limit = cap << self.split_shift
+        self.cap = cap
 
     def key(self, splits: int, misc: int, leaves: int, path: int) -> int:
         key = (splits << self.split_shift) + (misc << self.misc_shift)
@@ -653,29 +671,33 @@ class _CountAlgebra:
     def leaf(self, misc: int) -> dict[int, int]:
         return {self.key(0, misc, 1, 0): 1}
 
-    def mul(self, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-        limit = self.child_limit
+    def room(self, depth: int) -> int:
+        """Keys below this fit the children of a split at `depth`: they may
+        hold cap - depth - 1 splits."""
+        return (self.cap - depth) << self.split_shift
+
+    def mul(self, a: dict[int, int], b: dict[int, int], room: int) -> dict[int, int]:
         out: dict[int, int] = {}
         get = out.get
-        items = b.items()
+        items = sorted(b.items())
         for k1, c1 in a.items():
-            room = limit - k1
+            left = room - k1
             for k2, c2 in items:
-                if k2 < room:
-                    k = k1 + k2
-                    out[k] = get(k, 0) + c1 * c2
+                if k2 >= left:
+                    break
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
         return out
 
-    def attach(self, out, acc, misc, leaves, path) -> dict[int, int]:
+    def attach(self, out, acc, misc, leaves, path, room) -> dict[int, int]:
         base = self.key(1, misc, leaves, path)
-        limit = self.child_limit
         if acc is None:
-            if limit:  # the cap admits one split
+            if room > 0:  # the budget admits this one split
                 out[base] = out.get(base, 0) + 1
             return out
         get = out.get
         for k, c in acc.items():
-            if k < limit:
+            if k < room:
                 k += base
                 out[k] = get(k, 0) + c
         return out
@@ -725,10 +747,13 @@ class _MinSizeAlgebra:
     def leaf(self, misc: int) -> int:
         return 0
 
-    def mul(self, a, b):
+    def room(self, depth: int) -> None:
+        return None
+
+    def mul(self, a, b, room):
         return a + b
 
-    def attach(self, out, acc, misc, leaves, path):
+    def attach(self, out, acc, misc, leaves, path, room):
         return min(out, 1 if acc is None else 1 + acc)
 
 

@@ -82,7 +82,7 @@ def test_enumerate_needs_exactly_one_source(capsys, tmp_path):
     assert code == EXIT_CONFIG
 
 
-def test_enumerate_truncation_exits_nonzero(capsys):
+def test_enumerate_truncation_exits_nonzero(capsys, monkeypatch):
     # the cap guards the tree walk of --emit-trees; counting walks no trees
     code, _, err = run_main(
         capsys, "enumerate", "--concept", "xyz-or-ab", "--emit-trees", "--max-trees", "10"
@@ -95,6 +95,12 @@ def test_enumerate_truncation_exits_nonzero(capsys):
     assert code == EXIT_OK
     assert capped == uncapped
     assert sum(int(line.split(",")[1]) for line in capped.splitlines()) > 10
+    monkeypatch.setenv("COLUMNS", "200")  # no line breaks inside the flags
+    with pytest.raises(SystemExit) as exit_info:
+        main(["enumerate", "--help"])
+    assert exit_info.value.code == EXIT_OK
+    usage = " ".join(capsys.readouterr().out.split())
+    assert "--max-trees caps only the --emit-trees walk" in usage
 
 
 def test_mux6_counts_and_runs_past_the_tree_cap(tmp_path, capsys):

@@ -478,3 +478,120 @@ def test_mixed_arity_forest_matches_the_naive_oracle(seed, cap):
         h = leaf_hists.setdefault(node_count(t), {})
         h[leaf_count(t)] = h.get(leaf_count(t), 0) + 1
     assert {c: b.leaf_hist for c, b in summary.buckets.items()} == leaf_hists
+
+
+@pytest.mark.property_based
+@given(st.integers(0, 2**32), st.integers(1, 8), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_depth_cut_keeps_every_tree_on_mux6(seed, cap, path_bins):
+    # mux6 has 8 features, so caps up to 8 cut subproblems at every depth
+    # (a subproblem at depth d keeps at most cap - d splits); small train
+    # draws and a short test set keep the stream walk small
+    data = apply_concept(get_concept("mux6"))
+    r = SplitMix64(seed)
+    train, test = split_disjoint(data, 4 + r.below(4), r)
+    test = Dataset(data.schema, test.examples[:16])
+    space = list(instance_space(data.schema))
+    pop = [space[r.below(len(space))] for _ in range(24)] if path_bins else None
+    track = TrackOptions(
+        error_hist=True, leaf_hist=True, path_bins=0.5 if path_bins else None
+    )
+    lim = EnumerationLimits(max_nodes=cap)
+    a = forest_summary(train, test, lim, pop, track, mode="stream")
+    b = forest_summary(train, test, lim, pop, track, mode="algebraic")
+    assert a == b
+
+
+def _profile(alg, cap, r):
+    # 0..5 keys within the cap; misc <= 1 and leaves <= splits + 1, so sums
+    # of two parts (and the attached split's misc 1) fit the test weight 3
+    # and the leaf field without carrying
+    out = {}
+    for _ in range(r.below(6)):
+        splits = r.below(cap + 1)
+        k = alg.key(splits, r.below(2), 1 + r.below(splits + 1), 0)
+        out[k] = out.get(k, 0) + 1 + r.below(5)
+    return out
+
+
+@pytest.mark.property_based
+@given(st.integers(0, 2**32), st.integers(0, 6))
+@settings(max_examples=200, deadline=None)
+def test_count_algebra_keeps_keys_within_the_room(seed, cap):
+    from forestscope.forest import _CountAlgebra
+
+    alg = _CountAlgebra(cap, 3, 2, TrackOptions(leaf_hist=True), True, None)
+    r = SplitMix64(seed)
+    a, b = _profile(alg, cap, r), _profile(alg, cap, r)
+    before_a, before_b = dict(a), dict(b)
+    for depth in range(cap + 3):
+        room = alg.room(depth)
+        assert room == (cap - depth) << alg.split_shift
+        prod = alg.mul(a, b, room)
+        want: dict[int, int] = {}
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                if k1 + k2 < room:
+                    want[k1 + k2] = want.get(k1 + k2, 0) + c1 * c2
+        assert prod == want
+        assert all(k >> alg.split_shift < cap - depth for k in prod)
+
+        base = alg.key(1, 1, 2, 0)
+        out = {base: 7}
+        got = alg.attach(dict(out), a, 1, 2, 0, room)
+        added = {k: c - out.get(k, 0) for k, c in got.items() if c != out.get(k, 0)}
+        assert added == {k + base: c for k, c in a.items() if k < room}
+        assert all(k >> alg.split_shift <= cap - depth for k in added)
+        closed = alg.attach(dict(out), None, 1, 2, 0, room)
+        assert closed == ({base: 8} if room > 0 else out)
+        if room <= 0:
+            assert prod == {} and got == out
+    assert (a, b) == (before_a, before_b)
+
+
+@pytest.mark.property_based
+@given(st.integers(0, 2**32))
+@settings(max_examples=200, deadline=None)
+def test_router_one_probe_checks_match_their_definitions(seed):
+    from forestscope.forest import _Router
+
+    # lenses rows with duplicates and conflicting labels, over 3 classes
+    schema = bundled_dataset("lenses").schema
+    space = list(instance_space(schema))
+    r = SplitMix64(seed)
+    rows = []
+    for _ in range(1 + r.below(20)):
+        inst = space[r.below(len(space))]
+        rows += [LabeledExample(inst, r.below(3))] * (1 + r.below(3))
+    router = _Router(Dataset(schema, tuple(rows)))
+    n_rows = router.full.bit_length()
+    assert n_rows == len(rows)
+
+    def label_of(i):
+        (c,) = [c for c in range(3) if router.class_mask[c] >> i & 1]
+        return c
+
+    def check(bits, labels):
+        # labels: the class of each row in `bits`, counted directly
+        weights = [labels.count(c) for c in range(3)]
+        present = [c for c in range(3) if weights[c]]
+        assert router.sole_class(bits) == (present[0] if len(present) == 1 else None)
+        for c in range(3):
+            assert router.wrong_weight(bits, c) == len(labels) - weights[c]
+        if labels:
+            assert router.majority(bits) == weights.index(max(weights))
+
+    check(0, [])
+    check(router.full, [ex.label for ex in rows])
+    for i in range(n_rows):
+        check(1 << i, [label_of(i)])
+    for _ in range(20):
+        bits = r.below(1 << n_rows)
+        check(bits, [label_of(i) for i in range(n_rows) if bits >> i & 1])
+    for _ in range(20):
+        # the rows one partial path admits, counted over the examples
+        bits = router.full
+        fixed = {f: r.below(a) for f, a in enumerate(schema.arities) if r.below(2)}
+        for f, v in fixed.items():
+            bits &= router.value_mask[f][v]
+        check(bits, [ex.label for ex in rows if all(ex.instance[f] == v for f, v in fixed.items())])
