@@ -362,10 +362,8 @@ def emit_all(
         if "pairwise_min" in config.analyses:
             pair_runs += [("min", k) for k in config.pairwise_conditions or (None,)]
         if pair_runs:
-            # One set of vectors per leg serves every pairwise table; only
-            # the 'all' baseline reads the strict tails of every row.
-            with_above = "pairwise_all" in config.analyses
-            tails = [stats._tail_vectors(t, with_above) for t in used]
+            # One set of vectors per leg serves every pairwise table.
+            tails = [stats._tail_vectors(t) for t in used]
             for baseline, k in pair_runs:
                 chosen = stats._with_min_size_in(tails, None if k is None else (k,))
                 rows = stats._pairwise(chosen, baseline)

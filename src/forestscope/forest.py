@@ -56,7 +56,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 from . import tree as treemod
@@ -109,9 +109,11 @@ class _Router:
     row i and `other_mask[c]` holds every row not of class c, so purity
     takes one probe: the lowest row of a set names the only class it can
     be pure in, and the set is pure exactly when it misses that class's
-    `other_mask`.  `inst_mask` has one bit per distinct instance (its
-    first row), for the bounds that count instances rather than rows; `n`
-    is the number of distinct instances.
+    `other_mask`.  `row_class` is built on first use, from the same runs as
+    the masks: only training rows are ever tested for purity.  `inst_mask`
+    has one bit per distinct instance (its first row), for the bounds that
+    count instances rather than rows; `n` is the number of distinct
+    instances.
     """
 
     def __init__(self, data: Dataset):
@@ -120,16 +122,15 @@ class _Router:
         self.n_classes = schema.n_classes
         self.value_mask = [[0] * a for a in self.arities]
         self.class_mask = [0] * self.n_classes
-        self.row_class: list[int] = []
         self.inst_mask = 0
         seen: set[tuple] = set()
         pos = 0
-        for (inst, label), w in Counter((ex.instance, ex.label) for ex in data.examples).items():
+        self._runs = Counter((ex.instance, ex.label) for ex in data.examples)
+        for (inst, label), w in self._runs.items():
             run = ((1 << w) - 1) << pos
             for f, v in enumerate(inst):
                 self.value_mask[f][v] |= run
             self.class_mask[label] |= run
-            self.row_class += [label] * w
             if inst not in seen:
                 seen.add(inst)
                 self.inst_mask |= 1 << pos
@@ -137,6 +138,13 @@ class _Router:
         self.n = len(seen)
         self.full = (1 << pos) - 1
         self.other_mask = [self.full & ~m for m in self.class_mask]
+
+    @cached_property
+    def row_class(self) -> list[int]:
+        out: list[int] = []
+        for (_, label), w in self._runs.items():
+            out += [label] * w
+        return out
 
     def classes_present(self, bits: int) -> list[int]:
         return [c for c in range(self.n_classes) if bits & self.class_mask[c]]

@@ -187,25 +187,20 @@ class _TailVectors(NamedTuple):
     """One trial's error-count rows, dense over every size min..max.
 
     Row r (size min_size + r) holds n_test + 1 ints at offset
-    r * (n_test + 1): `counts` are its trees per error k, `above` (built
-    only when asked for, else None) its trees with error greater than k.
-    `below[k]` is the number of minimum-size trees with error less than k.
-    `totals[r]` is the row's tree count; a size with no trees is a zero row.
+    r * (n_test + 1): `counts` are its trees per error k.  `totals[r]` is
+    the row's tree count; a size with no trees is a zero row.
     """
 
     min_size: int | None
     n_test: int
     counts: list[int]
-    below: list[int]
-    above: list[int] | None
     totals: list[int]
 
 
-def _tail_vectors(t: TrialRecord, with_above: bool) -> _TailVectors:
+def _tail_vectors(t: TrialRecord) -> _TailVectors:
     hists = _trial_histograms(t)
     width = t.n_test + 1
     counts: list[int] = []
-    above: list[int] | None = [] if with_above else None
     totals: list[int] = []
     for c in range(min(hists, default=0), max(hists, default=-1) + 1):
         row = [0] * width
@@ -216,13 +211,9 @@ def _tail_vectors(t: TrialRecord, with_above: bool) -> _TailVectors:
                     f"0..{t.n_test}"
                 )
             row[k] = v
-        total = sum(row)
         counts += row
-        if with_above:
-            above += [total - below for below in accumulate(row)]
-        totals.append(total)
-    below = list(accumulate(counts[: width - 1], initial=0))
-    return _TailVectors(t.min_size, t.n_test, counts, below, above, totals)
+        totals.append(sum(row))
+    return _TailVectors(t.min_size, t.n_test, counts, totals)
 
 
 def _trial_histograms(t: TrialRecord) -> dict[int, dict[int, int]]:
@@ -252,19 +243,17 @@ def pairwise(
     probability divides summed pair counts, so every pair weighs the same.
 
     Each trial's histograms become dense vectors over every size from its
-    minimum to its maximum: error counts d_c[k] and totals n_c.  Size gap
-    g then takes three dot products over offset rows: ties are
-    sum_c,k d_c[k] * d_{c+g}[k], all pairs are sum_c n_c * n_{c+g}, and
-    the pairs where the smaller tree errs less are sum_c,k d_c[k] *
-    above_{c+g}[k] under 'all', with above_c[k] the trees of size c with
-    error > k.  Under 'min' the sums over c keep only the minimum size m,
-    and that count reads sum_k d_{m+g}[k] * below_m[k], with below_m[k]
-    the trees of size m with error < k: one tail per trial.  The rest are
-    pairs where the larger tree errs less.  A trial counts toward gap g
-    when it has at least one pair there.
+    minimum to its maximum: error counts d_c[k] and totals n_c.  The
+    smaller side's rows (every row under 'all', only the minimum size
+    under 'min') also get lower tails below_c[k], the trees of size c with
+    error < k.  Size gap g then takes three dot products over offset rows:
+    pairs where the smaller tree errs less are sum_c,k below_c[k] *
+    d_{c+g}[k], ties are sum_c,k d_c[k] * d_{c+g}[k], all pairs are
+    sum_c n_c * n_{c+g}, and the rest are pairs where the larger tree errs
+    less.  A trial counts toward gap g when it has at least one pair there.
     """
     chosen = _with_min_size_in(trials, min_size_in)
-    return _pairwise([_tail_vectors(t, baseline == "all") for t in chosen], baseline)
+    return _pairwise([_tail_vectors(t) for t in chosen], baseline)
 
 
 def _with_min_size_in(trials, min_size_in):
@@ -278,7 +267,7 @@ def _with_min_size_in(trials, min_size_in):
 
 def _pairwise(chosen: Sequence[_TailVectors], baseline: str) -> list[PairwiseRow]:
     """`pairwise` over trials already chosen by `_with_min_size_in` and
-    turned into `_tail_vectors`, with `above` built for baseline 'all'."""
+    turned into `_tail_vectors`."""
     if baseline not in ("all", "min"):
         raise ValueError(f"unknown baseline {baseline!r}")
     denoms = {t.n_test for t in chosen}
@@ -289,15 +278,15 @@ def _pairwise(chosen: Sequence[_TailVectors], baseline: str) -> list[PairwiseRow
     for t in chosen:
         d, n, w = t.counts, t.totals, t.n_test + 1
         lead, lead_n = (d, n) if baseline == "all" else (d[:w], n[:1])
+        lead_below: list[int] = []
+        for r in range(0, len(lead), w):
+            lead_below += accumulate(lead[r : r + w - 1], initial=0)
         for diff in range(1, len(n)):
             pairs = sum(map(mul, lead_n, n[diff:]))
             if not pairs:
                 continue
             lo, hi = diff * w, diff * w + len(lead)
-            if baseline == "all":
-                s = sum(map(mul, lead, t.above[lo:hi]))
-            else:
-                s = sum(map(mul, t.below, d[lo:hi]))
+            s = sum(map(mul, lead_below, d[lo:hi]))
             e = sum(map(mul, lead, d[lo:hi]))
             l = pairs - s - e
             slot = counts.setdefault(diff, [0, 0, 0])
