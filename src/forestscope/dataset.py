@@ -147,14 +147,16 @@ class Dataset:
     def __post_init__(self):
         arities = self.schema.arities
         n_classes = self.schema.n_classes
-        for ex in self.examples:
-            if len(ex.instance) != len(arities):
-                raise SchemaError(f"instance {ex.instance} has wrong width")
-            for f, v in enumerate(ex.instance):
+        # each distinct row once, in first-occurrence order, so the first
+        # error raised is the one a row-by-row pass would raise
+        for instance, label in dict.fromkeys((ex.instance, ex.label) for ex in self.examples):
+            if len(instance) != len(arities):
+                raise SchemaError(f"instance {instance} has wrong width")
+            for f, v in enumerate(instance):
                 if not 0 <= v < arities[f]:
                     raise SchemaError(f"value index {v} out of range for feature {f}")
-            if not 0 <= ex.label < n_classes:
-                raise SchemaError(f"label {ex.label} out of range")
+            if not 0 <= label < n_classes:
+                raise SchemaError(f"label {label} out of range")
 
     def __len__(self) -> int:
         return len(self.examples)

@@ -110,7 +110,9 @@ class _Router:
     takes one probe: the lowest row of a set names the only class it can
     be pure in, and the set is pure exactly when it misses that class's
     `other_mask`.  `row_class` is built on first use, from the same runs as
-    the masks: only training rows are ever tested for purity.  `inst_mask`
+    the masks: only training rows are ever tested for purity.  The methods
+    below are the definitions; `_solve`'s split loop evaluates the same
+    one-probe expressions inline, saving a call per child.  `inst_mask`
     has one bit per distinct instance (its first row), for the bounds that
     count instances rather than rows; `n` is the number of distinct
     instances.
@@ -549,17 +551,23 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
 
     One memoized recursion over subproblems (train rows, usable features);
     `pop` is None when no population is tracked, which keeps its masks out
-    of the per-split loop.  Each split multiplies its open children's
-    profiles (`alg.mul`) and is attached with its closed leaves'
-    misclassified test weight, leaf count and path tests (`alg.attach`).
-    Both take the room `alg.room(depth)` that a split at `depth` leaves its
-    children, which bounds the algebra's profiles by the splits left.
+    of the per-split loop.  Each split is attached (`alg.attach`) with the
+    profiles of its open children and its closed leaves' misclassified
+    test weight, leaf count and path tests, taking the room `alg.room(depth)`
+    that a split at `depth` leaves its children, which bounds the algebra's
+    profiles by the splits left.  The split step evaluates `_Router`'s
+    one-probe purity and weight expressions inline, and routes a child's
+    test and population rows only where they are read.
     """
     sole = tr.sole_class(tr.full)
     if sole is not None:
         return alg.leaf(te.wrong_weight(te.full, sole))
     n_features = len(tr.arities)
     rooms = [alg.room(depth) for depth in range(n_features + 1)]
+    tr_value, te_value = tr.value_mask, te.value_mask
+    pop_value = pop.value_mask if pop is not None else None
+    row_class, tr_other, te_other = tr.row_class, tr.other_mask, te.other_mask
+    attach = alg.attach
     # The used features are those not in `usable`, and the train rows
     # (never empty) all share their values on them, which fixes the path
     # and its depth; the test and population rows are those the path
@@ -571,38 +579,44 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
         out = alg.zero()
         path = pop_bits.bit_count()
         room = rooms[n_features - usable.bit_count()]
-        for f in _iter_bits(usable):
-            tr_kids = [tr_bits & m for m in tr.value_mask[f]]
-            nonempty = [v for v, kb in enumerate(tr_kids) if kb]
-            if len(nonempty) < 2:
+        maj = None
+        rest = usable
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            f = low.bit_length() - 1
+            tr_kids = [tr_bits & m for m in tr_value[f]]
+            if len(tr_kids) - tr_kids.count(0) < 2:
                 continue
-            te_kids = [te_bits & m for m in te.value_mask[f]]
-            pop_kids = [pop_bits & m for m in pop.value_mask[f]] if pop is not None else None
-            child_usable = usable & ~(1 << f)
+            te_masks = te_value[f]
+            child_usable = usable ^ low
             misc = leaves = 0
-            maj = None
-            acc = None
+            parts = []
             for v, kb in enumerate(tr_kids):
                 if not kb:
-                    if te_kids[v]:
+                    te_kid = te_bits & te_masks[v]
+                    if te_kid:
                         if maj is None:
                             maj = tr.majority(tr_bits)
-                        misc += te.wrong_weight(te_kids[v], maj)
+                        misc += (te_kid & te_other[maj]).bit_count()
                     leaves += 1
                     continue
-                sole = tr.sole_class(kb)
-                if sole is not None:
-                    misc += te.wrong_weight(te_kids[v], sole)
+                c = row_class[(kb & -kb).bit_length() - 1]
+                if not kb & tr_other[c]:
+                    misc += (te_bits & te_masks[v] & te_other[c]).bit_count()
                     leaves += 1
                     continue
                 key = (kb, child_usable)
                 part = memo.get(key)
                 if part is None:
                     part = memo[key] = solve(
-                        kb, te_kids[v], pop_kids[v] if pop is not None else 0, child_usable
+                        kb,
+                        te_bits & te_masks[v],
+                        pop_bits & pop_value[f][v] if pop is not None else 0,
+                        child_usable,
                     )
-                acc = part if acc is None else alg.mul(acc, part, room)
-            out = alg.attach(out, acc, misc, leaves, path, room)
+                parts.append(part)
+            out = attach(out, parts, misc, leaves, path, room)
         return out
 
     all_features = (1 << n_features) - 1
@@ -611,17 +625,19 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
 
 # Algebras.  zero() is the profile of no trees and leaf(misc) that of the
 # lone leaf; room(depth) is what a split at `depth` leaves its children;
-# mul(a, b, room) combines independent children (never mutating either);
-# attach(out, acc, misc, leaves, path, room) adds to `out` the trees of
-# one split whose open children multiplied to `acc` (None when every child
-# is a closed leaf), one split deeper; tables(profile) gives the summary's
-# buckets and path bins.  Two algebras: `_CountAlgebra` counts trees
-# exactly in Python ints within its split cap, `_MinSizeAlgebra` is
-# min-plus and ignores the room.  A profile is cut by depth: a subproblem
-# at depth d (d features used on its path) sits under d splits, so its
-# trees keep at most cap - d splits and the children of its split at most
-# cap - d - 1 together.  The memo key fixes d, the number of features not
-# in `usable`, so the cut profile it stores is the same wherever the
+# attach(out, parts, misc, leaves, path, room) adds to `out` the trees of
+# one split whose open children have the profiles `parts` (empty when every
+# child is a closed leaf), one split deeper, never mutating a part;
+# tables(profile) gives the summary's buckets and path bins.  Two algebras:
+# `_CountAlgebra` counts trees exactly in Python ints within its split cap,
+# and its mul(a, b, room, out=None, base=0) adds the product of independent
+# children, keys raised by `base`, into `out` (a new dict when None) and
+# returns it, never mutating `a` or `b`; `_MinSizeAlgebra` is min-plus,
+# ignores the room and needs no mul.  A profile is cut by depth: a
+# subproblem at depth d (d features used on its path) sits under d splits,
+# so its trees keep at most cap - d splits and the children of its split at
+# most cap - d - 1 together.  The memo key fixes d, the number of features
+# not in `usable`, so the cut profile it stores is the same wherever the
 # subproblem recurs.  No other bound is needed: every split parts its rows
 # into at least two nonempty children, so a tree over n distinct training
 # instances has at most n - 1 splits.
@@ -684,12 +700,21 @@ class _CountAlgebra:
         hold cap - depth - 1 splits."""
         return (self.cap - depth) << self.split_shift
 
-    def mul(self, a: dict[int, int], b: dict[int, int], room: int) -> dict[int, int]:
-        out: dict[int, int] = {}
+    def mul(
+        self,
+        a: dict[int, int],
+        b: dict[int, int],
+        room: int,
+        out: dict[int, int] | None = None,
+        base: int = 0,
+    ) -> dict[int, int]:
+        if out is None:
+            out = {}
         get = out.get
         items = sorted(b.items())
         for k1, c1 in a.items():
             left = room - k1
+            k1 += base
             for k2, c2 in items:
                 if k2 >= left:
                     break
@@ -697,18 +722,23 @@ class _CountAlgebra:
                 out[k] = get(k, 0) + c1 * c2
         return out
 
-    def attach(self, out, acc, misc, leaves, path, room) -> dict[int, int]:
+    def attach(self, out, parts, misc, leaves, path, room) -> dict[int, int]:
         base = self.key(1, misc, leaves, path)
-        if acc is None:
+        if not parts:
             if room > 0:  # the budget admits this one split
                 out[base] = out.get(base, 0) + 1
             return out
-        get = out.get
-        for k, c in acc.items():
-            if k < room:
-                k += base
-                out[k] = get(k, 0) + c
-        return out
+        if len(parts) == 1:
+            get = out.get
+            for k, c in parts[0].items():
+                if k < room:
+                    k += base
+                    out[k] = get(k, 0) + c
+            return out
+        acc = parts[0]
+        for part in parts[1:-1]:
+            acc = self.mul(acc, part, room)
+        return self.mul(acc, parts[-1], room, out, base)
 
     def tables(self, profile: dict[int, int]):
         buckets: dict[int, CardinalityBucket] = {}
@@ -758,11 +788,8 @@ class _MinSizeAlgebra:
     def room(self, depth: int) -> None:
         return None
 
-    def mul(self, a, b, room):
-        return a + b
-
-    def attach(self, out, acc, misc, leaves, path, room):
-        return min(out, 1 if acc is None else 1 + acc)
+    def attach(self, out, parts, misc, leaves, path, room):
+        return min(out, 1 + sum(parts))
 
 
 # ------------------------------------------------------------- min size

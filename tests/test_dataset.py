@@ -90,6 +90,56 @@ def test_dataset_validates_rows():
         Dataset(schema, (LabeledExample((0, 0), 5),))
 
 
+def _bad_row(schema, r):
+    inst = [r.below(a) for a in schema.arities]
+    label = r.below(schema.n_classes)
+    kind = r.below(3)
+    if kind == 0:  # one value too many or too few
+        inst = inst + [0] if r.below(2) else inst[:-1]
+    elif kind == 1:
+        f = r.below(len(inst))
+        inst[f] = -1 if r.below(2) else schema.arities[f] + r.below(2)
+    else:
+        label = -1 if r.below(2) else schema.n_classes + r.below(2)
+    return LabeledExample(tuple(inst), label)
+
+
+@pytest.mark.property_based
+@given(st.integers(0, 2**32))
+@settings(max_examples=200)
+def test_dataset_raises_the_error_of_the_first_bad_row(seed):
+    # validation checks each distinct row once; the error must still be the
+    # one a row-by-row pass raises first
+    schema = bundled_dataset("lenses").schema
+    space = list(instance_space(schema))
+    r = SplitMix64(seed)
+    rows = []
+    for _ in range(r.below(12)):
+        rows += [LabeledExample(space[r.below(len(space))], r.below(3))] * (1 + r.below(3))
+    first, second = _bad_row(schema, r), _bad_row(schema, r)
+    at = r.below(len(rows) + 1)
+    rows.insert(at, first)
+    for _ in range(r.below(3)):
+        rows.insert(at + 1 + r.below(len(rows) - at), first)
+    rows.insert(at + 1 + r.below(len(rows) - at), second)
+
+    def first_error():
+        for ex in rows:
+            if len(ex.instance) != len(schema.arities):
+                return f"instance {ex.instance} has wrong width"
+            for f, v in enumerate(ex.instance):
+                if not 0 <= v < schema.arities[f]:
+                    return f"value index {v} out of range for feature {f}"
+            if not 0 <= ex.label < schema.n_classes:
+                return f"label {ex.label} out of range"
+
+    want = first_error()
+    assert want is not None
+    with pytest.raises(SchemaError) as got:
+        Dataset(schema, tuple(rows))
+    assert str(got.value) == want
+
+
 def test_instance_space_order_and_size():
     schema = FeatureSchema(
         features=(("f", ("a", "b", "c")), ("g", ("x", "y"))), classes=("n", "p")

@@ -1,5 +1,6 @@
 """Enumeration routes agree: search enumerator, naive oracle, algebraic sums."""
 
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -504,8 +505,8 @@ def test_depth_cut_keeps_every_tree_on_mux6(seed, cap, path_bins):
 
 def _profile(alg, cap, r):
     # 0..5 keys within the cap; misc <= 1 and leaves <= splits + 1, so sums
-    # of two parts (and the attached split's misc 1) fit the test weight 3
-    # and the leaf field without carrying
+    # of three parts (and the attached split's misc 1) fit the test weight 4
+    # and, within the room, the leaf field without carrying
     out = {}
     for _ in range(r.below(6)):
         splits = r.below(cap + 1)
@@ -514,39 +515,81 @@ def _profile(alg, cap, r):
     return out
 
 
+def _product(parts, room, base):
+    # brute force: one key from each part, kept when the sum fits the room
+    want: dict[int, int] = {}
+    for combo in itertools.product(*(p.items() for p in parts)):
+        k = sum(k for k, _ in combo)
+        if k < room:
+            c = 1
+            for _, cnt in combo:
+                c *= cnt
+            want[k + base] = want.get(k + base, 0) + c
+    return want
+
+
 @pytest.mark.property_based
 @given(st.integers(0, 2**32), st.integers(0, 6))
 @settings(max_examples=200, deadline=None)
 def test_count_algebra_keeps_keys_within_the_room(seed, cap):
     from forestscope.forest import _CountAlgebra
 
-    alg = _CountAlgebra(cap, 3, 2, TrackOptions(leaf_hist=True), True, None)
+    alg = _CountAlgebra(cap, 4, 2, TrackOptions(leaf_hist=True), True, None)
     r = SplitMix64(seed)
-    a, b = _profile(alg, cap, r), _profile(alg, cap, r)
-    before_a, before_b = dict(a), dict(b)
+    parts = [_profile(alg, cap, r) for _ in range(3)]
+    before = [dict(p) for p in parts]
+    base = alg.key(1, 1, 2, 0)
+    old = {base: 7, alg.key(cap, 0, 1, 0): 3}
     for depth in range(cap + 3):
         room = alg.room(depth)
         assert room == (cap - depth) << alg.split_shift
-        prod = alg.mul(a, b, room)
-        want: dict[int, int] = {}
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                if k1 + k2 < room:
-                    want[k1 + k2] = want.get(k1 + k2, 0) + c1 * c2
-        assert prod == want
-        assert all(k >> alg.split_shift < cap - depth for k in prod)
 
-        base = alg.key(1, 1, 2, 0)
-        out = {base: 7}
-        got = alg.attach(dict(out), a, 1, 2, 0, room)
-        added = {k: c - out.get(k, 0) for k, c in got.items() if c != out.get(k, 0)}
-        assert added == {k + base: c for k, c in a.items() if k < room}
-        assert all(k >> alg.split_shift <= cap - depth for k in added)
-        closed = alg.attach(dict(out), None, 1, 2, 0, room)
-        assert closed == ({base: 8} if room > 0 else out)
-        if room <= 0:
-            assert prod == {} and got == out
-    assert (a, b) == (before_a, before_b)
+        a, b = parts[0], parts[1]
+        assert alg.mul(a, b, room) == _product([a, b], room, 0)
+        into = dict(old)
+        got = alg.mul(a, b, room, into, base)
+        assert got is into
+        added = _product([a, b], room, base)
+        assert got == {k: old.get(k, 0) + added.get(k, 0) for k in old.keys() | added.keys()}
+
+        for n in range(4):
+            got = alg.attach(dict(old), parts[:n], 1, 2, 0, room)
+            added = {k: c - old.get(k, 0) for k, c in got.items() if c != old.get(k, 0)}
+            assert added == _product(parts[:n], room, base)
+            assert all(k >> alg.split_shift <= cap - depth for k in added)
+            if room <= 0:
+                assert got == old
+    assert parts == before
+
+
+def _three_way_rows(schema, r, base):
+    # `base` plus a random draw of the space, each row up to twice, with
+    # the label (x0 + x1) % 2
+    rows = list(base)
+    for inst in instance_space(schema):
+        for _ in range(r.below(3) if r.below(2) else 0):
+            rows.append(inst)
+    return Dataset(schema, tuple(LabeledExample(i, (i[0] + i[1]) % 2) for i in rows))
+
+
+@pytest.mark.property_based
+@given(st.integers(0, 2**32), st.integers(4, 6))
+@settings(max_examples=30, deadline=None)
+def test_splits_with_three_open_children_agree_across_routes(seed, cap):
+    # three ternary features: (v, 0, 0) and (v, 1, 0) differ in label, so
+    # the root split on x0 has three impure children, all three open
+    schema = FeatureSchema(
+        features=tuple((f"x{i}", ("0", "1", "2")) for i in range(3)), classes=("a", "b")
+    )
+    r = SplitMix64(seed)
+    train = _three_way_rows(schema, r, [(v, w, 0) for v in range(3) for w in range(2)])
+    test = _three_way_rows(schema, r, [])
+    limits = EnumerationLimits(max_nodes=cap)
+    track = TrackOptions(error_hist=True, leaf_hist=True)
+    stream = forest_summary(train, test, limits, track=track, mode="stream")
+    assert stream == forest_summary(train, test, limits, track=track, mode="algebraic")
+    assert stream.min_size is not None
+    assert min_consistent_size(train, cap) == stream.min_size
 
 
 @pytest.mark.property_based
