@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from typing import Callable, Iterator, Sequence
 
@@ -106,7 +107,7 @@ class FeatureSchema:
     def values(self, i: int) -> tuple[str, ...]:
         return self.features[i][1]
 
-    @property
+    @cached_property
     def arities(self) -> tuple[int, ...]:
         return tuple(len(v) for _, v in self.features)
 

@@ -21,11 +21,12 @@ Three routes to the same forest live here, on purpose:
 * `forest_summary`: per-cardinality accumulation without storing trees.
   The algebraic mode is one recursion, two algebras: `_solve` memoizes
   over (train rows, usable features) subproblems, which fix the test and
-  population rows, multiplies the profiles of each split's open children
-  and attaches the split with its closed leaves' (misclassified weight,
-  leaves, path tests); what a profile holds is the algebra's business.
-  Every row of the train, test and population multisets has its own bit
-  in `_Router`'s masks, so each weight is a popcount.  `_CountAlgebra`
+  population rows, in one table per usable-feature set; it multiplies the
+  profiles of each split's open children and attaches the split under a
+  key summed from the algebra's field units; what a profile holds is the
+  algebra's business.  Every row of the train, test and population
+  multisets has its own bit in `_Router`'s masks, so each weight is a
+  popcount.  `_CountAlgebra`
   keeps exact Python-int tree counts keyed on one packed int per (splits,
   misclassified weight, leaves, path tests), the last two only when
   tracked, so no count is fixed-width and none can wrap; `_MinSizeAlgebra`
@@ -54,13 +55,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator
 
 from . import tree as treemod
-from .dataset import Dataset, LabeledExample
+from .dataset import Dataset, FeatureSchema, LabeledExample
 from .tree import Leaf, Node, Split
 
 
@@ -113,9 +114,8 @@ class _Router:
     the masks: only training rows are ever tested for purity.  The methods
     below are the definitions; `_solve`'s split loop evaluates the same
     one-probe expressions inline, saving a call per child.  `inst_mask`
-    has one bit per distinct instance (its first row), for the bounds that
-    count instances rather than rows; `n` is the number of distinct
-    instances.
+    (one bit per distinct instance, its first row, for the bounds that
+    count instances) and `n` (their number) are built on first use too.
     """
 
     def __init__(self, data: Dataset):
@@ -124,8 +124,6 @@ class _Router:
         self.n_classes = schema.n_classes
         self.value_mask = [[0] * a for a in self.arities]
         self.class_mask = [0] * self.n_classes
-        self.inst_mask = 0
-        seen: set[tuple] = set()
         pos = 0
         self._runs = Counter((ex.instance, ex.label) for ex in data.examples)
         for (inst, label), w in self._runs.items():
@@ -133,11 +131,7 @@ class _Router:
             for f, v in enumerate(inst):
                 self.value_mask[f][v] |= run
             self.class_mask[label] |= run
-            if inst not in seen:
-                seen.add(inst)
-                self.inst_mask |= 1 << pos
             pos += w
-        self.n = len(seen)
         self.full = (1 << pos) - 1
         self.other_mask = [self.full & ~m for m in self.class_mask]
 
@@ -147,6 +141,18 @@ class _Router:
         for (_, label), w in self._runs.items():
             out += [label] * w
         return out
+
+    @cached_property
+    def inst_mask(self) -> int:
+        starts = itertools.accumulate(self._runs.values(), initial=0)
+        first: dict[tuple, int] = {}
+        for (inst, _), pos in zip(self._runs, starts):
+            first.setdefault(inst, 1 << pos)
+        return sum(first.values())
+
+    @property
+    def n(self) -> int:
+        return self.inst_mask.bit_count()
 
     def classes_present(self, bits: int) -> list[int]:
         return [c for c in range(self.n_classes) if bits & self.class_mask[c]]
@@ -530,12 +536,7 @@ def _summary_algebraic(train, test, limits, population, track) -> ForestSummary:
     alg = _CountAlgebra(
         cap, test_weight, max(tr.arities), track, track.error_hist and test is not None, npop
     )
-    # the population is a label-0 multiset, routed like the training set
-    pop = (
-        _Router(Dataset(train.schema, tuple(LabeledExample(inst, 0) for inst in population)))
-        if alg.use_path
-        else None
-    )
+    pop = _population_router(train.schema, tuple(population)) if alg.use_path else None
     buckets, bins = alg.tables(_solve(alg, tr, te, pop))
     return ForestSummary(
         buckets=buckets,
@@ -546,18 +547,25 @@ def _summary_algebraic(train, test, limits, population, track) -> ForestSummary:
     )
 
 
+@lru_cache(maxsize=8)
+def _population_router(schema: FeatureSchema, population: tuple) -> _Router:
+    """The population as a label-0 multiset; one router serves every trial."""
+    return _Router(Dataset(schema, tuple(LabeledExample(inst, 0) for inst in population)))
+
+
 def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
     """Profile, in algebra `alg`, of every consistent tree.
 
-    One memoized recursion over subproblems (train rows, usable features);
-    `pop` is None when no population is tracked, which keeps its masks out
-    of the per-split loop.  Each split is attached (`alg.attach`) with the
-    profiles of its open children and its closed leaves' misclassified
-    test weight, leaf count and path tests, taking the room `alg.room(depth)`
-    that a split at `depth` leaves its children, which bounds the algebra's
-    profiles by the splits left.  The split step evaluates `_Router`'s
-    one-probe purity and weight expressions inline, and routes a child's
-    test and population rows only where they are read.
+    One memoized recursion over subproblems (train rows, usable features),
+    one memo table per usable set; `pop` is None when no population is
+    tracked, which keeps its masks out of the per-split loop.  Each split
+    is attached (`alg.attach`) with its open children's profiles and its
+    key, summed from `alg.units` (split and path tests per subproblem,
+    closed leaves' misclassified weight and leaves per split), in the room
+    `alg.room(depth)` that a split at `depth` leaves its children.  A
+    two-valued feature splits without a list; purity and weights are
+    `_Router`'s one-probe expressions inline, and a child's test and
+    population rows are routed only where they are read.
     """
     sole = tr.sole_class(tr.full)
     if sole is not None:
@@ -567,17 +575,18 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
     tr_value, te_value = tr.value_mask, te.value_mask
     pop_value = pop.value_mask if pop is not None else None
     row_class, tr_other, te_other = tr.row_class, tr.other_mask, te.other_mask
-    attach = alg.attach
+    zero, attach = alg.zero, alg.attach
+    split_unit, misc_unit, leaf_unit, path_unit = alg.units
     # The used features are those not in `usable`, and the train rows
     # (never empty) all share their values on them, which fixes the path
     # and its depth; the test and population rows are those the path
     # admits, so (tr_bits, usable) determines te_bits, pop_bits and the
-    # room.  Callers probe the memo before recursing.
-    memo: dict[tuple[int, int], object] = {}
+    # room.  Callers probe memo[usable][tr_bits] before recursing.
+    memo: defaultdict[int, dict[int, object]] = defaultdict(dict)
 
     def solve(tr_bits: int, te_bits: int, pop_bits: int, usable: int):
-        out = alg.zero()
-        path = pop_bits.bit_count()
+        out = zero()
+        sub_base = split_unit + pop_bits.bit_count() * path_unit
         room = rooms[n_features - usable.bit_count()]
         maj = None
         rest = usable
@@ -585,11 +594,19 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
             low = rest & -rest
             rest ^= low
             f = low.bit_length() - 1
-            tr_kids = [tr_bits & m for m in tr_value[f]]
-            if len(tr_kids) - tr_kids.count(0) < 2:
-                continue
+            masks = tr_value[f]
+            if len(masks) == 2:
+                k0 = tr_bits & masks[0]
+                if not k0 or k0 == tr_bits:
+                    continue
+                tr_kids = (k0, tr_bits ^ k0)
+            else:
+                tr_kids = [tr_bits & m for m in masks]
+                if len(tr_kids) - tr_kids.count(0) < 2:
+                    continue
             te_masks = te_value[f]
             child_usable = usable ^ low
+            table = memo[child_usable]
             misc = leaves = 0
             parts = []
             for v, kb in enumerate(tr_kids):
@@ -606,17 +623,16 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
                     misc += (te_bits & te_masks[v] & te_other[c]).bit_count()
                     leaves += 1
                     continue
-                key = (kb, child_usable)
-                part = memo.get(key)
+                part = table.get(kb)
                 if part is None:
-                    part = memo[key] = solve(
+                    part = table[kb] = solve(
                         kb,
                         te_bits & te_masks[v],
                         pop_bits & pop_value[f][v] if pop is not None else 0,
                         child_usable,
                     )
                 parts.append(part)
-            out = attach(out, parts, misc, leaves, path, room)
+            out = attach(out, parts, sub_base + misc * misc_unit + leaves * leaf_unit, room)
         return out
 
     all_features = (1 << n_features) - 1
@@ -625,9 +641,11 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
 
 # Algebras.  zero() is the profile of no trees and leaf(misc) that of the
 # lone leaf; room(depth) is what a split at `depth` leaves its children;
-# attach(out, parts, misc, leaves, path, room) adds to `out` the trees of
-# one split whose open children have the profiles `parts` (empty when every
-# child is a closed leaf), one split deeper, never mutating a part;
+# units is what one (split, misclassified test row, leaf, path test) adds
+# to a key, 0 for a field not tracked, so the caller sums a split's key
+# `base` itself; attach(out, parts, base, room) adds to `out` the trees of
+# one split with key `base` whose open children have the profiles `parts`
+# (empty when every child is a closed leaf), never mutating a part;
 # tables(profile) gives the summary's buckets and path bins.  Two algebras:
 # `_CountAlgebra` counts trees exactly in Python ints within its split cap,
 # and its mul(a, b, room, out=None, base=0) adds the product of independent
@@ -680,6 +698,8 @@ class _CountAlgebra:
         self.leaf_mask = (1 << leaf_bits) - 1
         self.misc_mask = (1 << test_weight.bit_length()) - 1
         self.cap = cap
+        leaf_unit = 1 << self.leaf_shift if self.use_leaves else 0
+        self.units = (1 << self.split_shift, 1 << self.misc_shift, leaf_unit, int(self.use_path))
 
     def key(self, splits: int, misc: int, leaves: int, path: int) -> int:
         key = (splits << self.split_shift) + (misc << self.misc_shift)
@@ -722,8 +742,7 @@ class _CountAlgebra:
                 out[k] = get(k, 0) + c1 * c2
         return out
 
-    def attach(self, out, parts, misc, leaves, path, room) -> dict[int, int]:
-        base = self.key(1, misc, leaves, path)
+    def attach(self, out, parts, base, room) -> dict[int, int]:
         if not parts:
             if room > 0:  # the budget admits this one split
                 out[base] = out.get(base, 0) + 1
@@ -779,6 +798,8 @@ class _MinSizeAlgebra:
     over all trees do, so the caller compares the one result with its cap.
     """
 
+    units = (0, 0, 0, 0)
+
     def zero(self):
         return math.inf
 
@@ -788,7 +809,7 @@ class _MinSizeAlgebra:
     def room(self, depth: int) -> None:
         return None
 
-    def attach(self, out, parts, misc, leaves, path, room):
+    def attach(self, out, parts, base, room):
         return min(out, 1 + sum(parts))
 
 

@@ -553,13 +553,71 @@ def test_count_algebra_keeps_keys_within_the_room(seed, cap):
         assert got == {k: old.get(k, 0) + added.get(k, 0) for k in old.keys() | added.keys()}
 
         for n in range(4):
-            got = alg.attach(dict(old), parts[:n], 1, 2, 0, room)
+            got = alg.attach(dict(old), parts[:n], base, room)
             added = {k: c - old.get(k, 0) for k, c in got.items() if c != old.get(k, 0)}
             assert added == _product(parts[:n], room, base)
             assert all(k >> alg.split_shift <= cap - depth for k in added)
             if room <= 0:
                 assert got == old
     assert parts == before
+
+
+@pytest.mark.property_based
+@pytest.mark.parametrize(
+    "track",
+    [
+        TrackOptions(),
+        TrackOptions(leaf_hist=True),
+        TrackOptions(path_length=True),
+        TrackOptions(leaf_hist=True, path_bins=0.5),
+    ],
+)
+@given(st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_field_units_build_the_keys_that_key_defines(track, seed):
+    from forestscope.forest import _CountAlgebra, _MinSizeAlgebra
+
+    r = SplitMix64(seed)
+    cap, test_weight, max_arity, npop = r.below(9), r.below(40), 2 + r.below(3), 1 + r.below(50)
+    alg = _CountAlgebra(cap, test_weight, max_arity, track, track.error_hist, npop)
+    split_unit, misc_unit, leaf_unit, path_unit = alg.units
+    for _ in range(20):
+        splits = r.below(cap + 2)
+        misc = r.below(test_weight + 1)
+        leaves = r.below((cap + 1) * max_arity + 1)
+        path = r.below((cap + 1) * npop + 1)
+        by_units = splits * split_unit + misc * misc_unit + leaves * leaf_unit + path * path_unit
+        assert by_units == alg.key(splits, misc, leaves, path)
+    assert _MinSizeAlgebra().units == (0, 0, 0, 0)
+
+
+def test_population_routers_are_kept_apart_by_population_and_schema():
+    # path-tracked summaries over two populations and two schemas, run in
+    # turn in one process; the population {0, 1}^3 is valid in both
+    # schemas, so a router keyed on the population alone would serve the
+    # ternary schema, whose trees split on value 2, a binary router
+    binary = binary_schema(["x0", "x1", "x2"])
+    ternary = FeatureSchema(
+        features=tuple((f"x{i}", ("0", "1", "2")) for i in range(3)), classes=("neg", "pos")
+    )
+    r = SplitMix64(11)
+    cases = []
+    for schema, top in ((binary, 1), (ternary, 2)):
+        space = list(instance_space(schema))
+        train = Dataset(
+            schema, tuple(LabeledExample(i, int(i[0] == top) ^ int(i[1] == top)) for i in space)
+        )
+        test = Dataset(schema, tuple(LabeledExample(i, i[2] % 2) for i in space))
+        shared = [i for i in space if max(i) < 2]
+        own = [space[r.below(len(space))] for _ in range(9)]
+        cases += [(train, test, shared), (train, test, own)]
+    lim = EnumerationLimits(max_nodes=5)
+    track = TrackOptions(leaf_hist=True, path_length=True, path_bins=0.25)
+    want = [forest_summary(*case[:2], lim, case[2], track, mode="stream") for case in cases]
+    assert all(w.total_trees for w in want) and want[0] != want[1] and want[2] != want[3]
+    for _ in range(2):
+        for case, expected in zip(cases, want):
+            assert forest_summary(*case[:2], lim, case[2], track) == expected
 
 
 def _three_way_rows(schema, r, base):
