@@ -19,7 +19,8 @@ byte-exactly against the header.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from typing import Callable, Iterator, Sequence
@@ -142,15 +143,25 @@ class LabeledExample:
 
 @dataclass(frozen=True)
 class Dataset:
+    """A schema plus a multiset of labeled examples.
+
+    Construction counts the rows once: `runs` maps each distinct
+    (instance, label) pair, in first-occurrence order, to its number of
+    rows.  Validation checks each pair of `runs` in that order, so the first
+    error raised is the one a row-by-row pass would raise, and the bitset
+    router reads its runs from the same count.
+    """
+
     schema: FeatureSchema
     examples: tuple[LabeledExample, ...]
+    runs: dict[tuple[Instance, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arities = self.schema.arities
         n_classes = self.schema.n_classes
-        # each distinct row once, in first-occurrence order, so the first
-        # error raised is the one a row-by-row pass would raise
-        for instance, label in dict.fromkeys((ex.instance, ex.label) for ex in self.examples):
+        runs = Counter((ex.instance, ex.label) for ex in self.examples)
+        object.__setattr__(self, "runs", runs)
+        for instance, label in runs:
             if len(instance) != len(arities):
                 raise SchemaError(f"instance {instance} has wrong width")
             for f, v in enumerate(instance):
@@ -174,12 +185,12 @@ class Dataset:
         return None
 
     def distinct_instances(self) -> int:
-        return len({ex.instance for ex in self.examples})
+        return len({inst for inst, _ in self.runs})
 
     def class_counts(self) -> list[int]:
         counts = [0] * self.schema.n_classes
-        for ex in self.examples:
-            counts[ex.label] += 1
+        for (_, label), w in self.runs.items():
+            counts[label] += w
         return counts
 
 
@@ -400,7 +411,7 @@ def sample_with_replacement(data: Dataset, n: int, rng: SplitMix64) -> Dataset:
     if not data.examples:
         raise ValueError("cannot sample from an empty dataset")
     m = len(data.examples)
-    return _subset(data, [rng.below(m) for _ in range(n)])
+    return _subset(data, rng.below_many(m, n))
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator
@@ -110,8 +110,10 @@ class _Router:
     row i and `other_mask[c]` holds every row not of class c, so purity
     takes one probe: the lowest row of a set names the only class it can
     be pure in, and the set is pure exactly when it misses that class's
-    `other_mask`.  `row_class` is built on first use, from the same runs as
-    the masks: only training rows are ever tested for purity.  The methods
+    `other_mask`.  The runs are the dataset's own `runs`, counted once when
+    it was built, so the rows are not hashed a second time here.
+    `row_class` is built on first use, from the same runs as the masks: only
+    training rows are ever tested for purity.  The methods
     below are the definitions; `_solve`'s split loop evaluates the same
     one-probe expressions inline, saving a call per child.  `inst_mask`
     (one bit per distinct instance, its first row, for the bounds that
@@ -125,7 +127,7 @@ class _Router:
         self.value_mask = [[0] * a for a in self.arities]
         self.class_mask = [0] * self.n_classes
         pos = 0
-        self._runs = Counter((ex.instance, ex.label) for ex in data.examples)
+        self._runs = data.runs
         for (inst, label), w in self._runs.items():
             run = ((1 << w) - 1) << pos
             for f, v in enumerate(inst):
@@ -760,34 +762,49 @@ class _CountAlgebra:
         return self.mul(acc, parts[-1], room, out, base)
 
     def tables(self, profile: dict[int, int]):
+        """Buckets (and path bins) of a profile, in one pass over its sorted
+        keys; a bucket's totals are summed in locals and stored at its end."""
         buckets: dict[int, CardinalityBucket] = {}
         bins: dict[int, list[int]] | None = {} if self.width is not None else None
-        for k, cnt in sorted(profile.items()):
-            c = k >> self.split_shift
-            b = buckets.get(c)
-            if b is None:
+        split_shift, misc_shift, misc_mask = self.split_shift, self.misc_shift, self.misc_mask
+        use_leaves, leaf_shift, leaf_mask = self.use_leaves, self.leaf_shift, self.leaf_mask
+        use_path, path_mask, npop, width = self.use_path, self.path_mask, self.npop, self.width
+        b = None
+        end = 0  # the first key past the current bucket
+        for k in sorted(profile):  # ints sort much faster than (key, count) pairs
+            cnt = profile[k]
+            if k >= end:
+                if b is not None:
+                    b.tree_count, b.correct_count, b.misclassified_total = trees, correct, wrong
+                c = k >> split_shift
+                end = (c + 1) << split_shift
                 b = buckets[c] = CardinalityBucket(
                     error_hist={} if self.error_hist else None,
-                    leaf_hist={} if self.use_leaves else None,
-                    path_tests_total=0 if self.use_path else None,
+                    leaf_hist={} if use_leaves else None,
+                    path_tests_total=0 if use_path else None,
                 )
-            misc = (k >> self.misc_shift) & self.misc_mask
-            b.tree_count += cnt
-            b.misclassified_total += misc * cnt
-            if misc == 0:
-                b.correct_count += cnt
-            if b.error_hist is not None:
-                b.error_hist[misc] = b.error_hist.get(misc, 0) + cnt
-            if self.use_leaves:
-                leaves = (k >> self.leaf_shift) & self.leaf_mask
-                b.leaf_hist[leaves] = b.leaf_hist.get(leaves, 0) + cnt
-            if self.use_path:
-                path = k & self.path_mask
+                hist, leaf_hist = b.error_hist, b.leaf_hist
+                trees = correct = wrong = 0
+            misc = (k >> misc_shift) & misc_mask
+            trees += cnt
+            if misc:
+                wrong += misc * cnt
+            else:
+                correct += cnt
+            if hist is not None:
+                hist[misc] = hist.get(misc, 0) + cnt
+            if use_leaves:
+                leaves = (k >> leaf_shift) & leaf_mask
+                leaf_hist[leaves] = leaf_hist.get(leaves, 0) + cnt
+            if use_path:
+                path = k & path_mask
                 b.path_tests_total += path * cnt
                 if bins is not None:
-                    slot = bins.setdefault(_path_bin(path, self.npop, self.width), [0, 0])
+                    slot = bins.setdefault(_path_bin(path, npop, width), [0, 0])
                     slot[0] += cnt
                     slot[1] += misc * cnt
+        if b is not None:
+            b.tree_count, b.correct_count, b.misclassified_total = trees, correct, wrong
         return buckets, bins
 
 

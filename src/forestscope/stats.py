@@ -29,8 +29,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import isqrt
 from operator import mul
-from statistics import fmean, stdev
+from statistics import fmean
 from typing import Iterable, NamedTuple, Sequence
 
 from .forest import CardinalityBucket, ForestSummary
@@ -126,6 +127,31 @@ def _trial_mean_error(bucket: CardinalityBucket, n_test: int) -> float:
     return bucket.misclassified_total / (bucket.tree_count * n_test)
 
 
+def _stdev(xs: Sequence[float]) -> float:
+    """Sample standard deviation of two or more finite floats, correctly rounded.
+
+    Each float is an integer over a power of two, so over the largest
+    denominator d the data are integers a_i and the variance is exactly
+    (n * sum(a_i**2) - sum(a_i)**2) / (n * (n - 1) * d**2).  Its root is
+    r / 2**e with r = isqrt of the variance times 4**e, e chosen so that r
+    has at least 55 bits, and r's last bit set when the root is inexact (a
+    sticky bit).  Rounding that r once, in the division, rounds the exact
+    root correctly; so does `statistics.stdev` from Python 3.11, and the
+    two agree there, but this one needs no Fractions.
+    """
+    ratios = [x.as_integer_ratio() for x in xs]
+    d = max(q for _, q in ratios)
+    a = [p * (d // q) for p, q in ratios]
+    n = len(a)
+    num = n * sum(v * v for v in a) - sum(a) ** 2
+    den = n * (n - 1) * d * d
+    e = max(0, (112 - num.bit_length() + den.bit_length()) // 2)
+    num <<= 2 * e
+    r = isqrt(num // den)
+    r |= r * r * den != num
+    return r / (1 << e)
+
+
 def aggregate_by_cardinality(trials: Sequence[TrialRecord]) -> list[AggregateRow]:
     """Average per-trial mean error (and tree counts) at each cardinality.
 
@@ -148,7 +174,7 @@ def aggregate_by_cardinality(trials: Sequence[TrialRecord]) -> list[AggregateRow
     for c in sorted(per_c):
         errs = [e for e, _, _ in per_c[c]]
         n = len(errs)
-        ci = Z_95 * stdev(errs) / n**0.5 if n >= 2 else 0.0
+        ci = Z_95 * _stdev(errs) / n**0.5 if n >= 2 else 0.0
         rows.append(
             AggregateRow(
                 node_cardinality=c,

@@ -94,17 +94,39 @@ _PINNED_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_PINNED_DIGESTS))
-def test_preset_outputs_keep_their_bytes(tmp_path, name):
+def _emit_pinned_run(name, out_dir):
     cfg = replace(select_legs(preset(name)), master_seed=9)
     if name == "fig13":
         cfg = replace(cfg, legs=tuple(replace(l, trial_count=40) for l in cfg.legs))
-    emit_all(cfg, run_trials(cfg, threads=1), str(tmp_path))
+    emit_all(cfg, run_trials(cfg, threads=1), str(out_dir))
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_DIGESTS))
+def test_preset_outputs_keep_their_bytes(tmp_path, name):
+    _emit_pinned_run(name, tmp_path)
     got = tuple(
         hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
         for f in ("trial_records.jsonl", "run_manifest.csv")
     )
     assert got == _PINNED_DIGESTS[name]
+
+
+# SHA-256 of cardinality_stats.csv at seed 9, fig13 cut as above.  Its
+# floats are means, rates and confidence half-widths; the half-widths come
+# from the package's own correctly rounded standard deviation, so these
+# digests do not depend on the Python version's `statistics` either.
+_PINNED_CARDINALITY_DIGESTS = {
+    "fig1": "4ea60d9be848fbac2bc90e80a689d5b75659f4e8d6bc32dee6ba0d84a8fa5b37",
+    "fig8": "910e7dfec8cf1d18f0dc63bd7a47d3f34f42fa851ea4bc582740d789f2153cbd",
+    "fig13": "2aa7d5ba50730757762d1680053e1124cd973a569caea4b9d885e7fad90d37ca",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_CARDINALITY_DIGESTS))
+def test_cardinality_stats_keep_their_bytes(tmp_path, name):
+    _emit_pinned_run(name, tmp_path)
+    got = hashlib.sha256((tmp_path / "cardinality_stats.csv").read_bytes()).hexdigest()
+    assert got == _PINNED_CARDINALITY_DIGESTS[name]
 
 
 def test_config_validation_rejects_bad_combinations():

@@ -696,3 +696,47 @@ def test_router_one_probe_checks_match_their_definitions(seed):
         for f, v in fixed.items():
             bits &= router.value_mask[f][v]
         check(bits, [ex.label for ex in rows if all(ex.instance[f] == v for f, v in fixed.items())])
+
+
+@pytest.mark.property_based
+@given(st.integers(0, 2**32))
+@settings(max_examples=200, deadline=None)
+def test_router_from_dataset_runs_equals_a_row_by_row_build(seed):
+    from forestscope.forest import _Router
+
+    # lenses rows drawn with replacement, so duplicates and conflicting
+    # labels appear, shuffled so a pair's rows are not adjacent
+    schema = bundled_dataset("lenses").schema
+    space = list(instance_space(schema))
+    r = SplitMix64(seed)
+    pairs = [(space[r.below(len(space))], r.below(3)) for _ in range(1 + r.below(8))]
+    rows = [LabeledExample(*pairs[i]) for i in r.below_many(len(pairs), 1 + r.below(40))]
+    data = Dataset(schema, tuple(rows))
+    router = _Router(data)
+
+    # row by row: each pair's rows take the next bits, pairs in first-row order
+    order = []
+    for ex in rows:
+        if (ex.instance, ex.label) not in order:
+            order.append((ex.instance, ex.label))
+    assert list(data.runs.items()) == [(p, rows.count(LabeledExample(*p))) for p in order]
+    value_mask = [[0] * a for a in schema.arities]
+    class_mask = [0] * 3
+    row_class, first_row = [], {}
+    for inst, label in order:
+        for ex in rows:
+            if (ex.instance, ex.label) == (inst, label):
+                bit = 1 << len(row_class)
+                first_row.setdefault(inst, bit)
+                row_class.append(label)
+                class_mask[label] |= bit
+                for f, v in enumerate(inst):
+                    value_mask[f][v] |= bit
+    full = (1 << len(rows)) - 1
+    assert router.full == full
+    assert router.value_mask == value_mask
+    assert router.class_mask == class_mask
+    assert router.other_mask == [full & ~m for m in class_mask]
+    assert router.row_class == row_class
+    assert router.inst_mask == sum(first_row.values())
+    assert router.n == len({ex.instance for ex in rows})

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import statistics
+import sys
 from fractions import Fraction
 
 import pytest
@@ -348,3 +350,36 @@ def test_bin_by_path_length_requires_matching_width():
         bin_by_path_length([t], 0.25)
     with pytest.raises(ValueError):
         bin_by_path_length([rec(1, {2: (1, 0, 0, {0: 1})}, 4)], 0.5)
+
+
+def _exact_sample_variance(xs):
+    xs = [Fraction(x) for x in xs]
+    mean = sum(xs) / len(xs)
+    return sum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
+
+
+@pytest.mark.property_based
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(0, 1),
+            st.builds(lambda a, b: a / b, st.integers(0, 10**6), st.integers(1, 10**6)),
+            st.floats(-1e12, 1e12),
+        ),
+        min_size=2,
+        max_size=60,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_stdev_is_the_correctly_rounded_root_of_the_sample_variance(xs):
+    from forestscope.stats import _stdev
+
+    got = _stdev(xs)
+    var = _exact_sample_variance(xs)
+    # the exact root lies within half a unit in the last place of `got`:
+    # between the midpoints to its neighbouring floats
+    lo = (Fraction(got) + Fraction(math.nextafter(got, -math.inf))) / 2 if got else 0
+    hi = (Fraction(got) + Fraction(math.nextafter(got, math.inf))) / 2
+    assert lo * lo <= var <= hi * hi
+    if sys.version_info >= (3, 11):  # correctly rounded there too
+        assert got == statistics.stdev(xs)
