@@ -9,10 +9,15 @@ the routing rule already forbids, so nothing is lost by construction.
 Three routes to the same forest live here, on purpose:
 
 * `iter_consistent`: the search enumerator.
-  Depth-first over choice points with budget pruning; yields actual trees
-  in a documented deterministic order (subtree sizes ascending, then
-  feature index, then child budget compositions lexicographically with the
-  rightmost child varying fastest).
+  Depth-first over choice points; yields actual trees in a documented
+  deterministic order (subtree sizes ascending, then feature index, then
+  child budget compositions lexicographically with the rightmost child
+  varying fastest).  Each subproblem's budget is bounded below by its
+  exact fewest splits, read from the memo of one min-plus `_solve` pass,
+  the lower-bound pruning of DL8 with an exact bound: no size below a
+  subproblem's minimum is searched, and pruning drops only branches that
+  yield nothing, so the trees and their order are those of the unpruned
+  search.
 * `enumerate_naive`: the definitional oracle.  Generates every syntactic
   tree (path-distinct features, full fan-out, all leaf labelings, the
   empty-branch rule applied) and filters through the public predicates in
@@ -79,9 +84,11 @@ class EnumerationTruncated(Exception):
 @dataclass(frozen=True)
 class EnumerationLimits:
     """max_nodes: split budget (None = no explicit cap).
-    max_trees: safety cap on the trees a walk visits (`iter_consistent`,
+    max_trees: safety cap on the trees a walk yields (`iter_consistent`,
     `enumerate_naive`, mode 'stream'), 0 = unlimited; the algebraic
-    summary walks no trees and ignores it."""
+    summary walks no trees and ignores it.  `iter_consistent` never searches
+    a subproblem below its fewest splits, so a walk spends nothing on the
+    sizes below its smallest tree; the cap still counts trees, not work."""
 
     max_nodes: int | None = None
     max_trees: int = 50_000_000
@@ -156,9 +163,6 @@ class _Router:
     def n(self) -> int:
         return self.inst_mask.bit_count()
 
-    def classes_present(self, bits: int) -> list[int]:
-        return [c for c in range(self.n_classes) if bits & self.class_mask[c]]
-
     def sole_class(self, bits: int) -> int | None:
         """The single class with weight in `bits`, or None if impure or empty."""
         if not bits:
@@ -179,34 +183,13 @@ def _effective_cap(max_nodes: int | None, distinct: int) -> int:
     return hard if max_nodes is None else min(max_nodes, hard)
 
 
-def _log_bound(n_classes_present: int, max_arity: int) -> int:
-    """Splits needed at minimum to tell k classes apart."""
-    need, reach = 0, 1
-    while reach < n_classes_present:
-        reach *= max_arity
-        need += 1
-    return need
-
-
 # ------------------------------------------------------- search enumerator
 
 def iter_consistent(train: Dataset, limits: EnumerationLimits = EnumerationLimits()) -> Iterator[Node]:
     """Every consistent tree within the budget, in canonical order."""
-    r = _Router(train)
-    if r.n == 0:
-        raise ValueError("training set is empty")
+    r, root_min, fewest = _fewest_splits(train)
     cap = _effective_cap(limits.max_nodes, r.n)
-    max_arity = max(r.arities)
     all_features = (1 << len(r.arities)) - 1
-    lb_cache: dict[int, int] = {}
-
-    def lower_bound(bits: int) -> int:
-        got = lb_cache.get(bits)
-        if got is None:
-            k = len(r.classes_present(bits))
-            got = 0 if k <= 1 else max(1, _log_bound(k, max_arity))
-            lb_cache[bits] = got
-        return got
 
     def compositions(total: int, bounds: list[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
         # lexicographic allocations of `total` across children within bounds
@@ -223,41 +206,35 @@ def iter_consistent(train: Dataset, limits: EnumerationLimits = EnumerationLimit
                 yield (b0,) + tail
 
     def subtrees(bits: int, usable: int, size: int) -> Iterator[Node]:
+        # `size` is never below the fewest splits of (bits, usable), so impure
+        # rows are always asked for at least one split
         sole = r.sole_class(bits)
         if sole is not None:
             if size == 0:
                 yield Leaf(sole)
             return
-        if size == 0:
-            return
         for f in _iter_bits(usable):
             kid_bits = [bits & m for m in r.value_mask[f]]
-            nonempty = [v for v, kb in enumerate(kid_bits) if kb]
-            if len(nonempty) < 2:
+            if len(kid_bits) - kid_bits.count(0) < 2:
                 continue
-            bounds = []
-            feasible = True
             child_usable = usable & ~(1 << f)
-            for v in nonempty:
-                kb = kid_bits[v]
-                lo = lower_bound(kb)
-                hi = min(size - 1, (kb & r.inst_mask).bit_count() - 1)
-                if lo > hi:
-                    feasible = False
-                    break
-                bounds.append((lo, hi))
-            if not feasible:
-                continue
+            table = fewest[child_usable]
             forced: dict[int, Leaf] = {}
+            open_children = []
+            open_bounds = []
             for v, kb in enumerate(kid_bits):
                 if not kb:
                     forced[v] = Leaf(r.majority(bits))
-                else:
-                    sc = r.sole_class(kb)
-                    if sc is not None:
-                        forced[v] = Leaf(sc)
-            open_children = [v for v in nonempty if v not in forced]
-            open_bounds = [bounds[nonempty.index(v)] for v in open_children]
+                    continue
+                sc = r.sole_class(kb)
+                if sc is not None:
+                    forced[v] = Leaf(sc)
+                    continue
+                # impure rows are in the memo; the fewest splits is their bound
+                open_children.append(v)
+                open_bounds.append((table[kb], min(size - 1, (kb & r.inst_mask).bit_count() - 1)))
+            if sum(lo for lo, _ in open_bounds) > size - 1:  # inf: a child has no tree
+                continue
             for comp in compositions(size - 1, open_bounds):
 
                 def assemble(i: int) -> Iterator[tuple[Node, ...]]:
@@ -276,7 +253,7 @@ def iter_consistent(train: Dataset, limits: EnumerationLimits = EnumerationLimit
                     yield Split(f, tuple(children))
 
     def generate() -> Iterator[Node]:
-        for size in range(cap + 1):
+        for size in range(min(root_min, cap + 1), cap + 1):
             yield from subtrees(r.full, all_features, size)
 
     count = 0
@@ -388,15 +365,14 @@ class TrackOptions:
         pairwise statistics).  Off = the buckets carry only the exact
         tree, correct and misclassified totals; the work is the same.
     leaf_hist: histogram of leaf counts per tree.
-    path_length: total split-traversals over the population, summed over
-        trees (enables mean path length per cardinality).
     path_bins: histogram bin width for per-tree average path length over
-        the population; computed from the exact algebraic profile.
+        the population; computed from the exact algebraic profile.  Set,
+        it also sums each bucket's split-traversals over the population
+        (`path_tests_total`).
     """
 
     error_hist: bool = True
     leaf_hist: bool = False
-    path_length: bool = False
     path_bins: float | None = None
 
 
@@ -459,10 +435,11 @@ def forest_summary(
     """
     if mode not in ("stream", "algebraic"):
         raise ValueError(f"unknown mode {mode!r}")
-    if track.path_bins is not None and track.path_bins <= 0:
-        raise ValueError("path_bins width must be positive")
-    if (track.path_length or track.path_bins is not None) and population is None:
-        raise ValueError("path-length tracking needs a population")
+    if track.path_bins is not None:
+        if track.path_bins <= 0:
+            raise ValueError("path_bins width must be positive")
+        if population is None:
+            raise ValueError("path-length tracking needs a population")
     if mode == "stream":
         return _summary_stream(train, test, limits, population, track)
     return _summary_algebraic(train, test, limits, population, track)
@@ -488,7 +465,7 @@ def _summary_stream(train, test, limits, population, track) -> ForestSummary:
             b = buckets[c] = CardinalityBucket(
                 error_hist={} if (track.error_hist and test is not None) else None,
                 leaf_hist={} if track.leaf_hist else None,
-                path_tests_total=0 if track.path_length or bins is not None else None,
+                path_tests_total=0 if bins is not None else None,
             )
         b.tree_count += 1
         misc = 0
@@ -539,7 +516,7 @@ def _summary_algebraic(train, test, limits, population, track) -> ForestSummary:
         cap, test_weight, max(tr.arities), track, track.error_hist and test is not None, npop
     )
     pop = _population_router(train.schema, tuple(population)) if alg.use_path else None
-    buckets, bins = alg.tables(_solve(alg, tr, te, pop))
+    buckets, bins = alg.tables(_solve(alg, tr, te, pop)[0])
     return ForestSummary(
         buckets=buckets,
         test_weight=test_weight,
@@ -556,7 +533,7 @@ def _population_router(schema: FeatureSchema, population: tuple) -> _Router:
 
 
 def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
-    """Profile, in algebra `alg`, of every consistent tree.
+    """Profile, in algebra `alg`, of every consistent tree, and the memo.
 
     One memoized recursion over subproblems (train rows, usable features),
     one memo table per usable set; `pop` is None when no population is
@@ -567,11 +544,14 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
     `alg.room(depth)` that a split at `depth` leaves its children.  A
     two-valued feature splits without a list; purity and weights are
     `_Router`'s one-probe expressions inline, and a child's test and
-    population rows are routed only where they are read.
+    population rows are routed only where they are read.  The memo,
+    `memo[usable][tr_bits]`, holds the profile of every impure subproblem
+    the recursion reaches below the root.
     """
+    memo: defaultdict[int, dict[int, object]] = defaultdict(dict)
     sole = tr.sole_class(tr.full)
     if sole is not None:
-        return alg.leaf(te.wrong_weight(te.full, sole))
+        return alg.leaf(te.wrong_weight(te.full, sole)), memo
     n_features = len(tr.arities)
     rooms = [alg.room(depth) for depth in range(n_features + 1)]
     tr_value, te_value = tr.value_mask, te.value_mask
@@ -584,7 +564,6 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
     # and its depth; the test and population rows are those the path
     # admits, so (tr_bits, usable) determines te_bits, pop_bits and the
     # room.  Callers probe memo[usable][tr_bits] before recursing.
-    memo: defaultdict[int, dict[int, object]] = defaultdict(dict)
 
     def solve(tr_bits: int, te_bits: int, pop_bits: int, usable: int):
         out = zero()
@@ -638,7 +617,7 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
         return out
 
     all_features = (1 << n_features) - 1
-    return solve(tr.full, te.full, pop.full if pop is not None else 0, all_features)
+    return solve(tr.full, te.full, pop.full if pop is not None else 0, all_features), memo
 
 
 # Algebras.  zero() is the profile of no trees and leaf(misc) that of the
@@ -688,7 +667,7 @@ class _CountAlgebra:
     ):
         self.error_hist = error_hist
         self.use_leaves = track.leaf_hist
-        self.use_path = track.path_length or track.path_bins is not None
+        self.use_path = track.path_bins is not None
         self.width = track.path_bins
         self.npop = npop
         path_bits = ((cap + 1) * npop).bit_length() if self.use_path else 0
@@ -832,14 +811,21 @@ class _MinSizeAlgebra:
 
 # ------------------------------------------------------------- min size
 
+def _fewest_splits(train: Dataset):
+    """One min-plus pass: the router, the fewest splits of any consistent
+    tree (inf when none), and the memo `fewest[usable][rows]` holding that
+    fewest for every impure subproblem reachable below the root."""
+    r = _Router(train)
+    if r.n == 0:
+        raise ValueError("training set is empty")
+    return (r, *_solve(_MinSizeAlgebra(), r, _Router(Dataset(train.schema, ())), None))
+
+
 def min_consistent_size(train: Dataset, max_nodes: int | None = None) -> int | None:
-    """Smallest split budget admitting a consistent tree, in one min-plus pass.
+    """Smallest split budget admitting a consistent tree.
 
     Returns None when no consistent tree exists within the cap (including
     the infeasible-data case, where none exists at any size).
     """
-    r = _Router(train)
-    if r.n == 0:
-        raise ValueError("training set is empty")
-    size = _solve(_MinSizeAlgebra(), r, _Router(Dataset(train.schema, ())), None)
+    r, size, _ = _fewest_splits(train)
     return size if size <= _effective_cap(max_nodes, r.n) else None

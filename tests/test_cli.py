@@ -37,6 +37,16 @@ def run_main(capsys, *argv):
     return code, out.out, out.err
 
 
+def child_env():
+    """The environment for a child interpreter that runs the source these
+    tests imported, whatever its working directory."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SOURCE_ROOT), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def test_datasets_lists_concepts_and_bundled(capsys):
     code, out, _ = run_main(capsys, "datasets")
     assert code == EXIT_OK
@@ -101,6 +111,19 @@ def test_enumerate_truncation_exits_nonzero(capsys, monkeypatch):
     assert exit_info.value.code == EXIT_OK
     usage = " ".join(capsys.readouterr().out.split())
     assert "--max-trees caps only the --emit-trees walk" in usage
+
+
+def test_parity5_tree_walk_prints_its_cap_then_stops(tmp_path):
+    # parity5's trees all have 31 splits; the walk searches no smaller size
+    proc = subprocess.run(
+        [sys.executable, "-m", "forestscope.cli", "enumerate", "--concept", "parity5",
+         "--emit-trees", "--max-trees", "5"],
+        capture_output=True, text=True, env=child_env(), cwd=tmp_path, timeout=60,
+    )
+    assert proc.returncode == EXIT_FAILURE
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 5 and all(line.startswith("(P1 ") for line in lines)
+    assert proc.stderr == "error: enumeration: enumeration exceeded the safety cap of 5 trees\n"
 
 
 def test_mux6_counts_and_runs_past_the_tree_cap(tmp_path, capsys):
@@ -248,10 +271,7 @@ def test_boundary_integers_exit_with_a_documented_code(small_records, tmp_path, 
 
 def loaded_by_import(tmp_path, modules):
     """Which of `modules` a fresh interpreter holds after `import forestscope`."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SOURCE_ROOT), env.get("PYTHONPATH")) if p
-    )
+    env = child_env()
     proc = subprocess.run(
         [sys.executable, "-c",
          f"import sys, forestscope; print([m for m in {modules!r} if m in sys.modules])"],
@@ -449,11 +469,7 @@ sys.exit(target())
 
 
 def test_console_script_entry_point(tmp_path):
-    # The children run the source this test imported, whatever the working directory.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SOURCE_ROOT), env.get("PYTHONPATH")) if p
-    )
+    env = child_env()
     proc = subprocess.run(
         [sys.executable, "-m", "forestscope.cli", "datasets"],
         capture_output=True, text=True, env=env, cwd=tmp_path,

@@ -94,10 +94,15 @@ _PINNED_DIGESTS = {
 }
 
 
-def _emit_pinned_run(name, out_dir):
+def _pinned_config(name):
     cfg = replace(select_legs(preset(name)), master_seed=9)
     if name == "fig13":
         cfg = replace(cfg, legs=tuple(replace(l, trial_count=40) for l in cfg.legs))
+    return cfg
+
+
+def _emit_pinned_run(name, out_dir):
+    cfg = _pinned_config(name)
     emit_all(cfg, run_trials(cfg, threads=1), str(out_dir))
 
 
@@ -127,6 +132,33 @@ def test_cardinality_stats_keep_their_bytes(tmp_path, name):
     _emit_pinned_run(name, tmp_path)
     got = hashlib.sha256((tmp_path / "cardinality_stats.csv").read_bytes()).hexdigest()
     assert got == _PINNED_CARDINALITY_DIGESTS[name]
+
+
+# SHA-256 of each remaining analysis table at seed 9.  fig10, fig11, fig12
+# and table2 share one scope, so one run of their draws feeds all four.
+_PINNED_TABLE_DIGESTS = {
+    "fig9": ("path_length.csv", "8ce10e8cac0b07320a55c12c40e2e9ab240dd183b35700be686891295776df37"),
+    "fig10": ("pairwise.csv", "0d9bfa9dfa0be016216c367b2d034d23371c8e427fd0c51c5b6a4bf48a7c6bd0"),
+    "fig11": ("pairwise.csv", "9155c9b41098d225a0af53a149d164ea7095fc0e755a818c371ce0ecadcd7494"),
+    "fig12": ("pairwise.csv", "7d89c21c6745a54eda023e696fd04b5d2ef513bc89c4d18473d663a0664da6f8"),
+    "table2": ("policy.csv", "bf020c3799b6b50ceb9aba09ea74ede9692a5e4a6ed1527a64296f757db4e90e"),
+}
+
+
+@pytest.fixture(scope="module")
+def xyz1000_results():
+    return run_trials(_pinned_config("fig10"), threads=1)
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_TABLE_DIGESTS))
+def test_analysis_tables_keep_their_bytes(tmp_path, request, name):
+    table, digest = _PINNED_TABLE_DIGESTS[name]
+    cfg = _pinned_config(name)
+    if cfg.scope == preset("fig10").scope:
+        emit_all(cfg, request.getfixturevalue("xyz1000_results"), str(tmp_path))
+    else:
+        _emit_pinned_run(name, tmp_path)
+    assert hashlib.sha256((tmp_path / table).read_bytes()).hexdigest() == digest
 
 
 def test_config_validation_rejects_bad_combinations():

@@ -1,5 +1,6 @@
 """Enumeration routes agree: search enumerator, naive oracle, algebraic sums."""
 
+import hashlib
 import itertools
 from dataclasses import replace
 
@@ -65,6 +66,65 @@ def test_enumeration_order_is_sizes_then_feature(xor2):
     data = apply_concept(get_concept("ab"))
     feats = [t.feature for t in iter_consistent(data, EnumerationLimits(max_nodes=2))]
     assert feats == sorted(feats)
+
+
+def _full(name):
+    return apply_concept(get_concept(name))
+
+
+def _draw20(name, seed):
+    return split_disjoint(_full(name), 20, SplitMix64(seed))[0]
+
+
+# (data, max_nodes, trees, SHA-256 of the walk's formatted trees, one per
+# line), taken under a looser lower bound: pruning may drop only branches
+# that yield nothing, so the trees and their order stay these
+_PINNED_WALKS = {
+    "xyz-or-ab": (lambda: _full("xyz-or-ab"), 10, 648,
+                  "be36b3d82a1cfd2909c7e9eb961633a62f45017274b5c57602169ec2402c8187"),
+    "lenses": (lambda: bundled_dataset("lenses"), 9, 35,
+               "2bceb661cfab81b4cd576e80874334a6e43f27a4ddfc006ed1934f8111f5bfa3"),
+    "xyz-or-ab-20-1": (lambda: _draw20("xyz-or-ab", 1), 8, 543,
+                       "3b393255f33b00385406afa7d684d3309b9158618f96a8b6430fb2253eaf6589"),
+    "xyz-or-ab-20-2": (lambda: _draw20("xyz-or-ab", 2), 8, 476,
+                       "23d52ccc673251cc61dd50fd1a23fef9a98a9c270a05ee1aa772e7e640d4beef"),
+    "xyz-or-ab-20-3": (lambda: _draw20("xyz-or-ab", 3), 8, 345,
+                       "98c592dba0660655684dc4eb720ef0f084cac508a6b92ce0aaeb472121f419b8"),
+    "mux6-20-1": (lambda: _draw20("mux6", 1), 7, 1815,
+                  "2cce5b3e1210a643b648f4936ee23e554579b11fcc33b1e73f4b4e034b72b67b"),
+    "mux6-20-2": (lambda: _draw20("mux6", 2), 7, 2598,
+                  "32e7468ea1724f96b9f0d49c50997e44983c111e97183a499ba97789c06e7257"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_WALKS))
+def test_walk_order_keeps_its_bytes(case):
+    make, cap, n_trees, digest = _PINNED_WALKS[case]
+    data = make()
+    lines = [format_tree(t, data.schema) for t in iter_consistent(data, EnumerationLimits(cap))]
+    assert len(lines) == n_trees
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+def _parity_count(n):
+    # on the full space every consistent tree is complete: T(n) = n T(n-1)^2
+    return 1 if n == 1 else n * _parity_count(n - 1) ** 2
+
+
+def test_parity_forest_matches_its_closed_form():
+    summary = forest_summary(_full("parity5"), track=TrackOptions(error_hist=False))
+    assert {c: b.tree_count for c, b in summary.buckets.items()} == {31: _parity_count(5)}
+    assert _parity_count(5) == 1_658_880
+
+
+def test_parity_walk_reaches_its_trees_without_searching_smaller_sizes():
+    data = _full("parity5")
+    trees = list(itertools.islice(iter_consistent(data), 200))
+    assert len(trees) == 200
+    for t in trees:
+        assert node_count(t) == 31
+        assert is_consistent(t, data)
+        assert check_structure(t, data) is None
 
 
 def test_every_enumerated_tree_passes_the_public_predicates():
@@ -147,7 +207,7 @@ def test_summary_helpers_match_direct_measurement():
     pop = list(instance_space(data.schema))
     summary = forest_summary(
         train, test, lim, population=pop,
-        track=TrackOptions(error_hist=True, leaf_hist=True, path_length=True, path_bins=0.25),
+        track=TrackOptions(error_hist=True, leaf_hist=True, path_bins=0.25),
     )
     trees = list(iter_consistent(train, lim))
     assert summary.total_trees == len(trees)
@@ -209,7 +269,7 @@ def test_stream_and_algebraic_path_bins_agree(seed, width, duplicated):
         # repeated instances weigh into path totals and the bin denominator
         pop += [pop[r.below(len(pop))] for _ in range(1 + r.below(8))]
     lim = EnumerationLimits(max_nodes=7)
-    track = TrackOptions(error_hist=True, leaf_hist=True, path_length=True, path_bins=width)
+    track = TrackOptions(error_hist=True, leaf_hist=True, path_bins=width)
     a = forest_summary(train, test, lim, pop, track, mode="stream")
     b = forest_summary(train, test, lim, pop, track, mode="algebraic")
     assert a == b
@@ -376,7 +436,7 @@ def test_min_consistent_size_matches_the_naive_oracle(seed, cap):
 _LENSES_TRACKS = {
     "hist": TrackOptions(),
     "sums": TrackOptions(error_hist=False),
-    "leaves-paths": TrackOptions(leaf_hist=True, path_length=True, path_bins=0.25),
+    "leaves-paths": TrackOptions(leaf_hist=True, path_bins=0.25),
 }
 
 
@@ -399,7 +459,7 @@ def test_stream_and_algebraic_agree_on_lenses(seed, with_replacement, cap, track
     else:
         train, test = split_disjoint(data, 4 + r.below(12), r)
     track = _LENSES_TRACKS[tracking]
-    pop = list(instance_space(data.schema)) if track.path_length else None
+    pop = list(instance_space(data.schema)) if track.path_bins is not None else None
     lim = EnumerationLimits(max_nodes=cap)
     a = forest_summary(train, test, lim, pop, track, mode="stream")
     b = forest_summary(train, test, lim, pop, track, mode="algebraic")
@@ -423,7 +483,7 @@ def test_repeated_rows_weigh_exactly_on_the_algebraic_route(seed, k, cap):
     test = sample_with_replacement(data, 1 + r.below(24), r)
     pop = list(instance_space(data.schema))
     lim = EnumerationLimits(max_nodes=cap)
-    track = TrackOptions(leaf_hist=True, path_length=True, path_bins=0.25)
+    track = TrackOptions(leaf_hist=True, path_bins=0.25)
     base = forest_summary(train, test, lim, pop, track)
 
     train_k = Dataset(data.schema, tuple(_repeat(train.examples, k)))
@@ -568,7 +628,7 @@ def test_count_algebra_keeps_keys_within_the_room(seed, cap):
     [
         TrackOptions(),
         TrackOptions(leaf_hist=True),
-        TrackOptions(path_length=True),
+        TrackOptions(path_bins=0.5),
         TrackOptions(leaf_hist=True, path_bins=0.5),
     ],
 )
@@ -612,7 +672,7 @@ def test_population_routers_are_kept_apart_by_population_and_schema():
         own = [space[r.below(len(space))] for _ in range(9)]
         cases += [(train, test, shared), (train, test, own)]
     lim = EnumerationLimits(max_nodes=5)
-    track = TrackOptions(leaf_hist=True, path_length=True, path_bins=0.25)
+    track = TrackOptions(leaf_hist=True, path_bins=0.25)
     want = [forest_summary(*case[:2], lim, case[2], track, mode="stream") for case in cases]
     assert all(w.total_trees for w in want) and want[0] != want[1] and want[2] != want[3]
     for _ in range(2):
