@@ -24,7 +24,7 @@ Three routes to the same forest live here, on purpose:
   `tree`.  Kept deliberately independent of the search enumerator; bounded
   to small schemas.
 * `forest_summary`: per-cardinality accumulation without storing trees.
-  The algebraic mode is one recursion, two algebras: `_solve` memoizes
+  The algebraic mode is one recursion, three algebras: `_solve` memoizes
   over (train rows, usable features) subproblems, which fix the test and
   population rows, in one table per usable-feature set; it multiplies the
   profiles of each split's open children and attaches the split under a
@@ -34,9 +34,10 @@ Three routes to the same forest live here, on purpose:
   popcount.  `_CountAlgebra`
   keeps exact Python-int tree counts keyed on one packed int per (splits,
   misclassified weight, leaves, path tests), the last two only when
-  tracked, so no count is fixed-width and none can wrap; `_MinSizeAlgebra`
-  is min-plus, giving `min_consistent_size` in one pass.  This is what
-  makes thousand-trial runs affordable.  It serves every request,
+  tracked, so no count is fixed-width and none can wrap; `_TotalsAlgebra`,
+  for test errors without a histogram, sums them in the values instead;
+  `_MinSizeAlgebra` is min-plus, giving `min_consistent_size` in one pass.
+  This is what makes thousand-trial runs affordable.  It serves every request,
   path-length bins included: a tree's path-test total is additive over its
   splits (each adds the population weight reaching it), so the key carries
   it and each distinct total is binned once.  The streaming mode drives
@@ -363,7 +364,8 @@ class TrackOptions:
 
     error_hist: histogram of misclassified test weight per tree (needed by
         pairwise statistics).  Off = the buckets carry only the exact
-        tree, correct and misclassified totals; the work is the same.
+        tree, correct and misclassified totals, which `_TotalsAlgebra` sums
+        without keying trees on their error.
     leaf_hist: histogram of leaf counts per tree.
     path_bins: histogram bin width for per-tree average path length over
         the population; computed from the exact algebraic profile.  Set,
@@ -512,7 +514,8 @@ def _summary_algebraic(train, test, limits, population, track) -> ForestSummary:
     cap = _effective_cap(limits.max_nodes, tr.n)
     test_weight = te.full.bit_count()
     npop = len(population) if population is not None else None
-    alg = _CountAlgebra(
+    algebra = _CountAlgebra if track.error_hist or test is None else _TotalsAlgebra
+    alg = algebra(
         cap, test_weight, max(tr.arities), track, track.error_hist and test is not None, npop
     )
     pop = _population_router(train.schema, tuple(population)) if alg.use_path else None
@@ -622,24 +625,26 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
 
 # Algebras.  zero() is the profile of no trees and leaf(misc) that of the
 # lone leaf; room(depth) is what a split at `depth` leaves its children;
-# units is what one (split, misclassified test row, leaf, path test) adds
-# to a key, 0 for a field not tracked, so the caller sums a split's key
-# `base` itself; attach(out, parts, base, room) adds to `out` the trees of
-# one split with key `base` whose open children have the profiles `parts`
-# (empty when every child is a closed leaf), never mutating a part;
-# tables(profile) gives the summary's buckets and path bins.  Two algebras:
+# units is what one (split, misclassified test row, leaf, path test) adds to
+# a key, 0 for a field not tracked, so the caller sums a split's key `base`
+# itself; attach(out, parts, base, room) adds to `out` the trees of one
+# split with key `base` whose open children have the profiles `parts` (empty
+# when every child is a closed leaf), never mutating a part; tables(profile)
+# gives the summary's buckets and path bins.  Three algebras:
 # `_CountAlgebra` counts trees exactly in Python ints within its split cap,
 # and its mul(a, b, room, out=None, base=0) adds the product of independent
 # children, keys raised by `base`, into `out` (a new dict when None) and
-# returns it, never mutating `a` or `b`; `_MinSizeAlgebra` is min-plus,
-# ignores the room and needs no mul.  A profile is cut by depth: a
-# subproblem at depth d (d features used on its path) sits under d splits,
-# so its trees keep at most cap - d splits and the children of its split at
-# most cap - d - 1 together.  The memo key fixes d, the number of features
-# not in `usable`, so the cut profile it stores is the same wherever the
-# subproblem recurs.  No other bound is needed: every split parts its rows
-# into at least two nonempty children, so a tree over n distinct training
-# instances has at most n - 1 splits.
+# returns it, never mutating `a` or `b`; `_TotalsAlgebra` keeps its keys
+# without their misclassified weight, which it sums in (trees, correct,
+# misclassified) values, taking the weight from the misc field of `base`;
+# `_MinSizeAlgebra` is min-plus, ignores the room and needs no mul.  A
+# profile is cut by depth: a subproblem at depth d (d features used on its
+# path) sits under d splits, so its trees keep at most cap - d splits and
+# the children of its split at most cap - d - 1 together.  The memo key
+# fixes d, the number of features not in `usable`, so the cut profile it
+# stores is the same wherever the subproblem recurs.  No other bound is
+# needed: every split parts its rows into at least two nonempty children, so
+# a tree over n distinct training instances has at most n - 1 splits.
 
 
 class _CountAlgebra:
@@ -784,6 +789,79 @@ class _CountAlgebra:
                     slot[1] += misc * cnt
         if b is not None:
             b.tree_count, b.correct_count, b.misclassified_total = trees, correct, wrong
+        return buckets, bins
+
+
+class _TotalsAlgebra(_CountAlgebra):
+    """A dict key -> (trees, correct, misclassified): the expectation
+    semiring (Li & Eisner, EMNLP 2009) with the error-free count alongside.
+
+    Keys keep `_CountAlgebra`'s fields, misc always 0, and independent
+    children multiply as (c1 c2, z1 z2, m1 c2 + c1 m2).  `mul` and `attach`
+    take the closed leaves' misclassified weight out of the misc field of
+    `base`; nonzero, it zeroes `correct` and adds that weight times `trees`.
+    """
+
+    def leaf(self, misc: int) -> dict[int, tuple[int, int, int]]:
+        return {self.key(0, 0, 1, 0): (1, int(not misc), misc)}
+
+    def mul(self, a, b, room, out=None, base=0):
+        misc = (base >> self.misc_shift) & self.misc_mask
+        base -= misc << self.misc_shift
+        if out is None:
+            out = {}
+        get = out.get
+        items = sorted(b.items())
+        for k1, (c1, z1, m1) in a.items():
+            left = room - k1
+            k1 += base
+            for k2, (c2, z2, m2) in items:
+                if k2 >= left:
+                    break
+                k = k1 + k2
+                c = c1 * c2
+                z = 0 if misc else z1 * z2
+                m = m1 * c2 + c1 * m2 + misc * c
+                o = get(k, (0, 0, 0))
+                out[k] = (o[0] + c, o[1] + z, o[2] + m)
+        return out
+
+    def attach(self, out, parts, base, room):
+        if len(parts) > 1:
+            return super().attach(out, parts, base, room)
+        misc = (base >> self.misc_shift) & self.misc_mask
+        base -= misc << self.misc_shift
+        get = out.get
+        for k, (c, z, m) in parts[0].items() if parts else [(0, (1, 1, 0))]:
+            if k < room:
+                k += base
+                o = get(k, (0, 0, 0))
+                out[k] = (o[0] + c, o[1] + (0 if misc else z), o[2] + m + misc * c)
+        return out
+
+    def tables(self, profile):
+        buckets: dict[int, CardinalityBucket] = {}
+        bins: dict[int, list[int]] | None = {} if self.use_path else None
+        for k in sorted(profile):
+            trees, correct, wrong = profile[k]
+            b = buckets.get(k >> self.split_shift)
+            if b is None:
+                b = buckets[k >> self.split_shift] = CardinalityBucket(
+                    leaf_hist={} if self.use_leaves else None,
+                    path_tests_total=0 if self.use_path else None,
+                )
+            b.tree_count += trees
+            b.correct_count += correct
+            b.misclassified_total += wrong
+            if self.use_leaves:
+                leaves = (k >> self.leaf_shift) & self.leaf_mask
+                b.leaf_hist[leaves] = b.leaf_hist.get(leaves, 0) + trees
+            if self.use_path:
+                path = k & self.path_mask
+                b.path_tests_total += path * trees
+                slot = bins.setdefault(_path_bin(path, self.npop, self.width), [0, 0])
+                slot[0] += trees
+                slot[1] += wrong
         return buckets, bins
 
 

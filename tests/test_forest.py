@@ -293,6 +293,80 @@ def test_empty_test_set_gives_the_same_summary_on_both_routes():
         assert bucket.error_hist == {0: bucket.tree_count}
 
 
+@pytest.mark.property_based
+@pytest.mark.parametrize("leaves,paths", [(False, False), (True, False), (False, True), (True, True)])
+@given(st.integers(0, 2**32), st.booleans())
+@settings(max_examples=50, deadline=None)
+def test_error_totals_equal_the_histogram_summary_without_its_histograms(leaves, paths, seed, mux):
+    # fig8-shaped draws (31 train and 1000 test rows drawn with replacement,
+    # here capped) and mux6 draws; error_hist off runs the totals algebra
+    r = SplitMix64(seed)
+    if mux:
+        data = apply_concept(get_concept("mux6"))
+        train, test = split_disjoint(data, 8 + r.below(13), r)
+        cap = 3 + r.below(6)
+    else:
+        data = apply_concept(get_concept("xyz-or-ab"))
+        train = sample_with_replacement(data, 31, r)
+        test = sample_with_replacement(data, 1000, r)
+        cap = 4 + r.below(9)
+    space = list(instance_space(data.schema))
+    pop = [space[r.below(len(space))] for _ in range(40)] if paths else None
+    lim = EnumerationLimits(max_nodes=cap)
+    width = 0.25 if paths else None
+    sums = forest_summary(train, test, lim, pop, TrackOptions(False, leaves, width))
+    hist = forest_summary(train, test, lim, pop, TrackOptions(True, leaves, width))
+    assert sums == replace(
+        hist, buckets={c: replace(b, error_hist=None) for c, b in hist.buckets.items()}
+    )
+
+
+def test_error_totals_keep_one_key_per_tree_size(monkeypatch):
+    # a fig8-shaped draw, uncapped: the totals algebra keys its profile on
+    # splits alone here, so the root profile holds at most cap + 1 keys where
+    # the histogram's holds more; a fallback to the counting algebra fails
+    import forestscope.forest as forest
+
+    seen = []
+    for cls in (forest._CountAlgebra, forest._TotalsAlgebra):
+        monkeypatch.setattr(
+            cls,
+            "tables",
+            lambda self, profile, tables=cls.tables: seen.append((type(self), len(profile)))
+            or tables(self, profile),
+        )
+    data = apply_concept(get_concept("xyz-or-ab"))
+    r = SplitMix64(9)
+    train, test = sample_with_replacement(data, 31, r), sample_with_replacement(data, 1000, r)
+    cap = len({ex.instance for ex in train.examples}) - 1
+    sums = forest_summary(train, test, track=TrackOptions(error_hist=False))
+    hist = forest_summary(train, test)
+    (totals, n_totals), (counts, n_counts) = seen
+    assert (totals, counts) == (forest._TotalsAlgebra, forest._CountAlgebra)
+    assert len(sums.buckets) <= n_totals <= cap + 1 < n_counts
+    assert sums.buckets.keys() == hist.buckets.keys()
+
+
+def test_misclassified_totals_add_over_test_rows():
+    # a tree's error on a test set is the sum of its errors on each row, so
+    # each bucket's misclassified total is the sum of one-row totals, and a
+    # one-row test's total is its tree count less its correct count
+    data = apply_concept(get_concept("mux6"))
+    r = SplitMix64(17)
+    train, rest = split_disjoint(data, 20, r)
+    rows = [rest.examples[i] for i in r.sample_indices(len(rest.examples), 24)]
+    sums = TrackOptions(error_hist=False)
+    whole = forest_summary(train, Dataset(data.schema, tuple(rows)), track=sums)
+    want = {c: 0 for c in whole.buckets}
+    for row in rows:
+        one = forest_summary(train, Dataset(data.schema, (row,)), track=sums)
+        for c, b in one.buckets.items():
+            assert b.tree_count == whole.buckets[c].tree_count
+            want[c] += b.tree_count - b.correct_count
+    assert {c: b.misclassified_total for c, b in whole.buckets.items()} == want
+    assert sum(want.values()) > 0
+
+
 def test_path_bins_do_not_walk_trees(monkeypatch):
     import forestscope.forest as forest
 
@@ -389,8 +463,9 @@ def test_population_without_path_tracking_gives_the_same_summary_on_both_routes(
 
 
 def test_int64_profiles_stay_exact_past_two_to_the_62():
-    # 56 distinct rows of an 8-feature space: counts pass 2^62 by far, so
-    # both int64 routes must hand over to the exact one before wrapping
+    # 56 distinct rows of an 8-feature space: counts pass 2^62 by far; the
+    # histogram summaries run the counting algebra and `sums` the totals
+    # algebra, so two algebras must agree on every total at that magnitude
     schema = binary_schema([f"f{i}" for i in range(8)])
     space = list(instance_space(schema))
     r = SplitMix64(0)
@@ -437,6 +512,7 @@ _LENSES_TRACKS = {
     "hist": TrackOptions(),
     "sums": TrackOptions(error_hist=False),
     "leaves-paths": TrackOptions(leaf_hist=True, path_bins=0.25),
+    "sums-leaves-paths": TrackOptions(error_hist=False, leaf_hist=True, path_bins=0.25),
 }
 
 
@@ -563,63 +639,80 @@ def test_depth_cut_keeps_every_tree_on_mux6(seed, cap, path_bins):
     assert a == b
 
 
-def _profile(alg, cap, r):
-    # 0..5 keys within the cap; misc <= 1 and leaves <= splits + 1, so sums
-    # of three parts (and the attached split's misc 1) fit the test weight 4
-    # and, within the room, the leaf field without carrying
-    out = {}
-    for _ in range(r.below(6)):
+def _trees(cap, r):
+    # 0..7 trees (splits, misc, leaves) within the cap, each 1..3 times;
+    # misc <= 1 and leaves <= splits + 1, so sums of three parts (and the
+    # attached split's misc 1) fit the test weight 4 and, within the room,
+    # the leaf field without carrying
+    out = []
+    for _ in range(r.below(8)):
         splits = r.below(cap + 1)
-        k = alg.key(splits, r.below(2), 1 + r.below(splits + 1), 0)
-        out[k] = out.get(k, 0) + 1 + r.below(5)
+        out += [(splits, r.below(2), 1 + r.below(splits + 1))] * (1 + r.below(3))
     return out
 
 
-def _product(parts, room, base):
-    # brute force: one key from each part, kept when the sum fits the room
-    want: dict[int, int] = {}
-    for combo in itertools.product(*(p.items() for p in parts)):
-        k = sum(k for k, _ in combo)
-        if k < room:
-            c = 1
-            for _, cnt in combo:
-                c *= cnt
-            want[k + base] = want.get(k + base, 0) + c
-    return want
+def _as_profile(alg, trees):
+    # the profile, in `alg`, of these (splits, misc, leaves) trees
+    from forestscope.forest import _TotalsAlgebra
+
+    out = {}
+    for splits, misc, leaves in trees:
+        if isinstance(alg, _TotalsAlgebra):
+            k = alg.key(splits, 0, leaves, 0)
+            c, z, m = out.get(k, (0, 0, 0))
+            out[k] = (c + 1, z + (misc == 0), m + misc)
+        else:
+            k = alg.key(splits, misc, leaves, 0)
+            out[k] = out.get(k, 0) + 1
+    return out
+
+
+def _product(parts, budget, base):
+    # brute force: one tree from each part, kept when their splits stay
+    # below `budget`, joined under the split `base`
+    return [
+        tuple(map(sum, zip(base, *combo)))
+        for combo in itertools.product(*parts)
+        if sum(t[0] for t in combo) < budget
+    ]
 
 
 @pytest.mark.property_based
 @given(st.integers(0, 2**32), st.integers(0, 6))
 @settings(max_examples=200, deadline=None)
 def test_count_algebra_keeps_keys_within_the_room(seed, cap):
-    from forestscope.forest import _CountAlgebra
+    # both counting algebras, held to a tree-by-tree product: keys, counts,
+    # error-free counts and error sums, the split's closed-leaf misc included
+    from forestscope.forest import _CountAlgebra, _TotalsAlgebra
 
-    alg = _CountAlgebra(cap, 4, 2, TrackOptions(leaf_hist=True), True, None)
     r = SplitMix64(seed)
-    parts = [_profile(alg, cap, r) for _ in range(3)]
-    before = [dict(p) for p in parts]
-    base = alg.key(1, 1, 2, 0)
-    old = {base: 7, alg.key(cap, 0, 1, 0): 3}
-    for depth in range(cap + 3):
-        room = alg.room(depth)
-        assert room == (cap - depth) << alg.split_shift
+    trees = [_trees(cap, r) for _ in range(3)]
+    split = (1, r.below(2), 2)
+    old = [split] * 7 + [(cap, 0, 1)] * 3
+    for algebra in (_CountAlgebra, _TotalsAlgebra):
+        alg = algebra(cap, 4, 2, TrackOptions(leaf_hist=True), algebra is _CountAlgebra, None)
+        parts = [_as_profile(alg, t) for t in trees]
+        before = [dict(p) for p in parts]
+        base = alg.key(*split, 0)
+        for depth in range(cap + 3):
+            room = alg.room(depth)
+            assert room == (cap - depth) << alg.split_shift
 
-        a, b = parts[0], parts[1]
-        assert alg.mul(a, b, room) == _product([a, b], room, 0)
-        into = dict(old)
-        got = alg.mul(a, b, room, into, base)
-        assert got is into
-        added = _product([a, b], room, base)
-        assert got == {k: old.get(k, 0) + added.get(k, 0) for k in old.keys() | added.keys()}
+            got = alg.mul(parts[0], parts[1], room)
+            assert got == _as_profile(alg, _product(trees[:2], cap - depth, (0, 0, 0)))
+            into = _as_profile(alg, old)
+            got = alg.mul(parts[0], parts[1], room, into, base)
+            assert got is into
+            assert got == _as_profile(alg, old + _product(trees[:2], cap - depth, split))
 
-        for n in range(4):
-            got = alg.attach(dict(old), parts[:n], base, room)
-            added = {k: c - old.get(k, 0) for k, c in got.items() if c != old.get(k, 0)}
-            assert added == _product(parts[:n], room, base)
-            assert all(k >> alg.split_shift <= cap - depth for k in added)
-            if room <= 0:
-                assert got == old
-    assert parts == before
+            for n in range(4):
+                added = _product(trees[:n], cap - depth, split)
+                got = alg.attach(_as_profile(alg, old), parts[:n], base, room)
+                assert got == _as_profile(alg, old + added)
+                assert all(t[0] <= cap - depth for t in added)
+                if room <= 0:
+                    assert not added
+        assert parts == before
 
 
 @pytest.mark.property_based
@@ -635,19 +728,27 @@ def test_count_algebra_keeps_keys_within_the_room(seed, cap):
 @given(st.integers(0, 2**32))
 @settings(max_examples=100, deadline=None)
 def test_field_units_build_the_keys_that_key_defines(track, seed):
-    from forestscope.forest import _CountAlgebra, _MinSizeAlgebra
+    from forestscope.forest import _CountAlgebra, _MinSizeAlgebra, _TotalsAlgebra
 
     r = SplitMix64(seed)
     cap, test_weight, max_arity, npop = r.below(9), r.below(40), 2 + r.below(3), 1 + r.below(50)
-    alg = _CountAlgebra(cap, test_weight, max_arity, track, track.error_hist, npop)
-    split_unit, misc_unit, leaf_unit, path_unit = alg.units
-    for _ in range(20):
-        splits = r.below(cap + 2)
-        misc = r.below(test_weight + 1)
-        leaves = r.below((cap + 1) * max_arity + 1)
-        path = r.below((cap + 1) * npop + 1)
-        by_units = splits * split_unit + misc * misc_unit + leaves * leaf_unit + path * path_unit
-        assert by_units == alg.key(splits, misc, leaves, path)
+    for algebra in (_CountAlgebra, _TotalsAlgebra):
+        alg = algebra(cap, test_weight, max_arity, track, algebra is _CountAlgebra, npop)
+        split_unit, misc_unit, leaf_unit, path_unit = alg.units
+        for _ in range(20):
+            splits = r.below(cap + 2)
+            misc = r.below(test_weight + 1)
+            leaves = r.below((cap + 1) * max_arity + 1)
+            path = r.below((cap + 1) * npop + 1)
+            by_units = splits * split_unit + misc * misc_unit + leaves * leaf_unit + path * path_unit
+            assert by_units == alg.key(splits, misc, leaves, path)
+            # a split of closed leaves only: the misc summed into its key is
+            # the tree's error, kept in the key or folded into the totals
+            if algebra is _CountAlgebra:
+                want = {by_units: 1}
+            else:
+                want = {alg.key(splits, 0, leaves, path): (1, int(not misc), misc)}
+            assert alg.attach({}, [], by_units, 1) == want
     assert _MinSizeAlgebra().units == (0, 0, 0, 0)
 
 
