@@ -22,7 +22,6 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from importlib import resources
 from typing import Callable, Iterator, Sequence
 
 from .rng import SplitMix64
@@ -149,7 +148,8 @@ class Dataset:
     (instance, label) pair, in first-occurrence order, to its number of
     rows.  Validation checks each pair of `runs` in that order, so the first
     error raised is the one a row-by-row pass would raise, and the bitset
-    router reads its runs from the same count.
+    router reads its runs from the same count.  A drawn subset (`_subset`)
+    gets its `runs` from its source's row keys instead of hashing its rows.
     """
 
     schema: FeatureSchema
@@ -157,11 +157,13 @@ class Dataset:
     runs: dict[tuple[Instance, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "runs", Counter((ex.instance, ex.label) for ex in self.examples))
+        self._check_runs()
+
+    def _check_runs(self) -> None:
         arities = self.schema.arities
         n_classes = self.schema.n_classes
-        runs = Counter((ex.instance, ex.label) for ex in self.examples)
-        object.__setattr__(self, "runs", runs)
-        for instance, label in runs:
+        for instance, label in self.runs:
             if len(instance) != len(arities):
                 raise SchemaError(f"instance {instance} has wrong width")
             for f, v in enumerate(instance):
@@ -172,6 +174,11 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.examples)
+
+    @cached_property
+    def _keys(self) -> list[tuple[Instance, int]]:
+        """Each row's (instance, label) pair, for the subsets drawn from it."""
+        return [(ex.instance, ex.label) for ex in self.examples]
 
     def conflict(self) -> tuple[int, int] | None:
         """Indices of the first pair of same-instance, different-label rows."""
@@ -382,6 +389,8 @@ def save_dataset(data: Dataset, path) -> None:
 
 def bundled_dataset(name: str) -> Dataset:
     """Load a dataset file shipped with the package (e.g. 'lenses')."""
+    from importlib import resources  # here, so `import forestscope` never loads it
+
     ref = resources.files("forestscope").joinpath("data").joinpath(f"{name}.csv")
     if not ref.is_file():
         raise DatasetError(f"no bundled dataset named {name!r}")
@@ -391,7 +400,23 @@ def bundled_dataset(name: str) -> Dataset:
 # ---------------------------------------------------------------- sampling
 
 def _subset(data: Dataset, indices: Sequence[int]) -> Dataset:
-    return Dataset(schema=data.schema, examples=tuple(data.examples[i] for i in indices))
+    """Rows `indices` (each in range(len(data))) of `data`: equal to
+    `Dataset(data.schema, rows)`, `runs` included, but the runs are counted by
+    index (ints, in C) and mapped to the source's row keys, so no drawn row is
+    hashed again; only a source with duplicate rows folds counts in Python."""
+    counts = Counter(indices)
+    keys = data._keys
+    if len(data.runs) == len(keys):  # one row per key
+        runs = Counter(dict(zip(map(keys.__getitem__, counts), counts.values())))
+    else:
+        runs = Counter()
+        for i, w in counts.items():
+            runs[keys[i]] += w
+    out = object.__new__(Dataset)  # the fields, in __init__'s order, without recounting
+    examples = tuple(map(data.examples.__getitem__, indices))
+    out.__dict__.update(schema=data.schema, examples=examples, runs=runs)
+    out._check_runs()
+    return out
 
 
 def split_disjoint(data: Dataset, n_train: int, rng: SplitMix64) -> tuple[Dataset, Dataset]:

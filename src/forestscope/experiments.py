@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 from . import charts, stats
 from .dataset import (
     Dataset,
+    _subset,
     apply_concept,
     bundled_dataset,
     get_concept,
@@ -194,12 +195,8 @@ def _prepare(config: ExperimentConfig) -> _RunContext:
 
 
 def _split_leave_one_out(data: Dataset, t: int) -> tuple[Dataset, Dataset]:
-    held = data.examples[t]
-    rest = tuple(ex for i, ex in enumerate(data.examples) if i != t)
-    return (
-        Dataset(schema=data.schema, examples=rest),
-        Dataset(schema=data.schema, examples=(held,)),
-    )
+    rest = [i for i in range(len(data.examples)) if i != t]
+    return _subset(data, rest), _subset(data, (t,))
 
 
 def _draw(ctx: _RunContext, leg: LegSpec, t: int, rng: SplitMix64):

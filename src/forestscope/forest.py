@@ -187,82 +187,84 @@ def _effective_cap(max_nodes: int | None, distinct: int) -> int:
 # ------------------------------------------------------- search enumerator
 
 def iter_consistent(train: Dataset, limits: EnumerationLimits = EnumerationLimits()) -> Iterator[Node]:
-    """Every consistent tree within the budget, in canonical order."""
+    """Every consistent tree within the budget, in canonical order.  The
+    generators are module functions, not closures calling themselves by
+    name, so a walk however it ends leaves no cycle for the collector."""
     r, root_min, fewest = _fewest_splits(train)
     cap = _effective_cap(limits.max_nodes, r.n)
     all_features = (1 << len(r.arities)) - 1
-
-    def compositions(total: int, bounds: list[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
-        # lexicographic allocations of `total` across children within bounds
-        if not bounds:
-            if total == 0:
-                yield ()
-            return
-        lo, hi = bounds[0]
-        rest = bounds[1:]
-        rest_lo = sum(b[0] for b in rest)
-        rest_hi = sum(b[1] for b in rest)
-        for b0 in range(max(lo, total - rest_hi), min(hi, total - rest_lo) + 1):
-            for tail in compositions(total - b0, rest):
-                yield (b0,) + tail
-
-    def subtrees(bits: int, usable: int, size: int) -> Iterator[Node]:
-        # `size` is never below the fewest splits of (bits, usable), so impure
-        # rows are always asked for at least one split
-        sole = r.sole_class(bits)
-        if sole is not None:
-            if size == 0:
-                yield Leaf(sole)
-            return
-        for f in _iter_bits(usable):
-            kid_bits = [bits & m for m in r.value_mask[f]]
-            if len(kid_bits) - kid_bits.count(0) < 2:
-                continue
-            child_usable = usable & ~(1 << f)
-            table = fewest[child_usable]
-            forced: dict[int, Leaf] = {}
-            open_children = []
-            open_bounds = []
-            for v, kb in enumerate(kid_bits):
-                if not kb:
-                    forced[v] = Leaf(r.majority(bits))
-                    continue
-                sc = r.sole_class(kb)
-                if sc is not None:
-                    forced[v] = Leaf(sc)
-                    continue
-                # impure rows are in the memo; the fewest splits is their bound
-                open_children.append(v)
-                open_bounds.append((table[kb], min(size - 1, (kb & r.inst_mask).bit_count() - 1)))
-            if sum(lo for lo, _ in open_bounds) > size - 1:  # inf: a child has no tree
-                continue
-            for comp in compositions(size - 1, open_bounds):
-
-                def assemble(i: int) -> Iterator[tuple[Node, ...]]:
-                    if i == len(open_children):
-                        yield ()
-                        return
-                    for sub in subtrees(kid_bits[open_children[i]], child_usable, comp[i]):
-                        for tail in assemble(i + 1):
-                            yield (sub,) + tail
-
-                for combo in assemble(0):
-                    children = []
-                    it = iter(combo)
-                    for v in range(len(kid_bits)):
-                        children.append(forced[v] if v in forced else next(it))
-                    yield Split(f, tuple(children))
-
-    def generate() -> Iterator[Node]:
-        for size in range(min(root_min, cap + 1), cap + 1):
-            yield from subtrees(r.full, all_features, size)
-
     count = 0
-    for t in generate():
-        count += 1
-        if limits.max_trees and count > limits.max_trees:
-            raise EnumerationTruncated(limits.max_trees)
-        yield t
+    for size in range(min(root_min, cap + 1), cap + 1):
+        for t in _subtrees(r, fewest, r.full, all_features, size):
+            count += 1
+            if limits.max_trees and count > limits.max_trees:
+                raise EnumerationTruncated(limits.max_trees)
+            yield t
+
+
+def _compositions(total: int, bounds: list[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
+    """Lexicographic allocations of `total` across children within bounds."""
+    if not bounds:
+        if total == 0:
+            yield ()
+        return
+    lo, hi = bounds[0]
+    rest = bounds[1:]
+    rest_lo = sum(b[0] for b in rest)
+    rest_hi = sum(b[1] for b in rest)
+    for b0 in range(max(lo, total - rest_hi), min(hi, total - rest_lo) + 1):
+        for tail in _compositions(total - b0, rest):
+            yield (b0,) + tail
+
+
+def _subtrees(r: _Router, fewest, bits: int, usable: int, size: int) -> Iterator[Node]:
+    # `size` is never below the fewest splits of (bits, usable), so impure
+    # rows are always asked for at least one split
+    sole = r.sole_class(bits)
+    if sole is not None:
+        if size == 0:
+            yield Leaf(sole)
+        return
+    for f in _iter_bits(usable):
+        kid_bits = [bits & m for m in r.value_mask[f]]
+        if len(kid_bits) - kid_bits.count(0) < 2:
+            continue
+        child_usable = usable & ~(1 << f)
+        table = fewest[child_usable]
+        forced: dict[int, Leaf] = {}
+        open_bits = []
+        open_bounds = []
+        for v, kb in enumerate(kid_bits):
+            if not kb:
+                forced[v] = Leaf(r.majority(bits))
+                continue
+            sc = r.sole_class(kb)
+            if sc is not None:
+                forced[v] = Leaf(sc)
+                continue
+            # impure rows are in the memo; the fewest splits is their bound
+            open_bits.append(kb)
+            open_bounds.append((table[kb], min(size - 1, (kb & r.inst_mask).bit_count() - 1)))
+        if sum(lo for lo, _ in open_bounds) > size - 1:  # inf: a child has no tree
+            continue
+        for comp in _compositions(size - 1, open_bounds):
+            for combo in _assemble(r, fewest, open_bits, child_usable, comp, 0):
+                children = []
+                it = iter(combo)
+                for v in range(len(kid_bits)):
+                    children.append(forced[v] if v in forced else next(it))
+                yield Split(f, tuple(children))
+
+
+def _assemble(r, fewest, open_bits, usable, comp, i) -> Iterator[tuple[Node, ...]]:
+    """The open children's subtrees at sizes `comp`, from child i on, the
+    rightmost varying fastest."""
+    if i == len(open_bits):
+        yield ()
+        return
+    for sub in _subtrees(r, fewest, open_bits[i], usable, comp[i]):
+        for tail in _assemble(r, fewest, open_bits, usable, comp, i + 1):
+            yield (sub,) + tail
 
 
 # ----------------------------------------------------------- naive oracle
@@ -549,7 +551,9 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
     `_Router`'s one-probe expressions inline, and a child's test and
     population rows are routed only where they are read.  The memo,
     `memo[usable][tr_bits]`, holds the profile of every impure subproblem
-    the recursion reaches below the root.
+    the recursion reaches below the root.  `solve` calls itself through its
+    closure cell, a cycle that would hold the memo for the cyclic collector;
+    unbinding it on any exit lets the caller's last reference free the memo.
     """
     memo: defaultdict[int, dict[int, object]] = defaultdict(dict)
     sole = tr.sole_class(tr.full)
@@ -620,7 +624,10 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
         return out
 
     all_features = (1 << n_features) - 1
-    return solve(tr.full, te.full, pop.full if pop is not None else 0, all_features), memo
+    try:
+        return solve(tr.full, te.full, pop.full if pop is not None else 0, all_features), memo
+    finally:
+        del solve  # it calls itself through its own closure cell: unbind that cycle
 
 
 # Algebras.  zero() is the profile of no trees and leaf(misc) that of the

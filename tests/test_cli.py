@@ -290,6 +290,17 @@ def test_import_pulls_in_no_pool_xml_or_network_modules(tmp_path):
     assert loaded_by_import(tmp_path, heavy) == "[]"
 
 
+def test_import_leaves_importlib_resources_unloaded(tmp_path):
+    # -S: no site hook loads it first; only `bundled_dataset` needs it
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, forestscope; print('importlib.resources' in sys.modules)"],
+        capture_output=True, text=True, env=child_env(), cwd=tmp_path,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_experiment_writes_run_directory(tmp_path, capsys):
     out_dir = tmp_path / "run"
     code, out, err = run_main(

@@ -1,5 +1,7 @@
 """Schema, parsing, concepts, and the three sampling protocols."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,7 @@ from forestscope import (
     sample_with_replacement,
     split_disjoint,
 )
-from forestscope.dataset import DatasetError
+from forestscope.dataset import DatasetError, _subset
 from forestscope.rng import SplitMix64
 
 from conftest import table_dataset
@@ -88,6 +90,45 @@ def test_dataset_validates_rows():
         Dataset(schema, (LabeledExample((0, 2), 0),))
     with pytest.raises(SchemaError):
         Dataset(schema, (LabeledExample((0, 0), 5),))
+
+
+def test_out_of_range_rows_raise_their_schema_error():
+    schema = binary_schema(["p", "q"])
+    with pytest.raises(SchemaError, match=r"^instance \(0,\) has wrong width$"):
+        Dataset(schema, (LabeledExample((0, 1), 0), LabeledExample((0,), 0)))
+    with pytest.raises(SchemaError, match="^value index 2 out of range for feature 1$"):
+        Dataset(schema, (LabeledExample((0, 1), 0), LabeledExample((0, 2), 0)))
+    with pytest.raises(SchemaError, match="^label 5 out of range$"):
+        Dataset(schema, (LabeledExample((0, 0), 5),))
+
+
+def _subset_sources():
+    mux = apply_concept(get_concept("mux6"))
+    rows = mux.examples
+    flipped = tuple(LabeledExample(ex.instance, 1 - ex.label) for ex in rows[3:40:9])
+    return {
+        "distinct": mux,
+        # each of 40 rows two or three times, never adjacent
+        "duplicates": Dataset(mux.schema, tuple(rows[(i * 7) % 40] for i in range(100))),
+        "conflict": Dataset(mux.schema, rows[:50] + flipped + rows[50:]),
+    }
+
+
+_SUBSET_SOURCES = _subset_sources()
+
+
+@pytest.mark.property_based
+@given(st.sampled_from(sorted(_SUBSET_SOURCES)), st.lists(st.integers(0, 2**20), max_size=80))
+@settings(max_examples=300)
+def test_subset_equals_the_dataset_built_from_its_rows(kind, picks):
+    source = _SUBSET_SOURCES[kind]
+    idx = [i % len(source) for i in picks]
+    got = _subset(source, idx)
+    want = Dataset(source.schema, tuple(source.examples[i] for i in idx))
+    assert got == want
+    assert type(got.runs) is type(want.runs)
+    assert list(got.runs.items()) == list(want.runs.items())
+    assert pickle.dumps(got) == pickle.dumps(want)
 
 
 def _bad_row(schema, r):

@@ -1,5 +1,6 @@
 """Enumeration routes agree: search enumerator, naive oracle, algebraic sums."""
 
+import gc
 import hashlib
 import itertools
 from dataclasses import replace
@@ -35,6 +36,8 @@ from forestscope import (
     split_disjoint,
 )
 from forestscope import FeatureSchema, check_structure
+from forestscope.experiments import preset, run_trials
+from forestscope.forest import _MinSizeAlgebra, _Router, _solve
 from forestscope.rng import SplitMix64
 
 from conftest import subset_dataset, table_dataset
@@ -115,6 +118,109 @@ def test_parity_forest_matches_its_closed_form():
     summary = forest_summary(_full("parity5"), track=TrackOptions(error_hist=False))
     assert {c: b.tree_count for c, b in summary.buckets.items()} == {31: _parity_count(5)}
     assert _parity_count(5) == 1_658_880
+
+
+def test_mixed_arity_parity_forest_matches_its_closed_form():
+    # the full space over arities (2, 3, 4, 2, 3), labelled by the sum of
+    # its values mod 2: a subproblem with a feature left is impure and no
+    # branch is empty, so every consistent tree is complete, and its size
+    # profile is G_S(x) = sum over f in S of x G_{S-f}(x)^(arity f)
+    arities = (2, 3, 4, 2, 3)
+    schema = FeatureSchema(
+        tuple((f"m{f}", tuple(f"v{v}" for v in range(a))) for f, a in enumerate(arities)),
+        ("even", "odd"),
+    )
+    data = table_dataset(schema, [sum(x) % 2 for x in instance_space(schema)])
+    assert len(data) == 144
+
+    def times(p, q):
+        out = {}
+        for i, a in p.items():
+            for j, b in q.items():
+                out[i + j] = out.get(i + j, 0) + a * b
+        return out
+
+    profiles = {(): {0: 1}}
+    for n in range(1, len(arities) + 1):
+        for features in itertools.combinations(range(len(arities)), n):
+            g = {}
+            for f in features:
+                power = {0: 1}
+                for _ in range(arities[f]):
+                    power = times(power, profiles[tuple(h for h in features if h != f)])
+                for size, c in power.items():
+                    g[size + 1] = g.get(size + 1, 0) + c
+            profiles[features] = g
+    want = profiles[tuple(range(len(arities)))]
+
+    summary = forest_summary(data, track=TrackOptions(error_hist=False))
+    assert {c: b.tree_count for c, b in summary.buckets.items()} == want
+    assert summary.total_trees == 7_597_837_243_219_968
+    assert (len(want), summary.min_size, summary.max_size) == (71, 55, 125)
+
+
+def _walk_closed_early(train, limits):
+    walk = iter_consistent(train, limits)
+    for _ in range(5):
+        next(walk)
+    walk.close()
+
+
+def _walk_truncated(train, limits):
+    try:
+        list(iter_consistent(train, replace(limits, max_trees=10)))
+    except EnumerationTruncated:
+        return
+    raise AssertionError("the walk passed its tree cap")
+
+
+class _InterruptedAlgebra(_MinSizeAlgebra):
+    """Min-plus that raises deep in the recursion, at its 100th split."""
+
+    left = 100
+
+    def attach(self, out, parts, base, room):
+        self.left -= 1
+        if not self.left:
+            raise RecursionError
+        return super().attach(out, parts, base, room)
+
+
+def _solve_interrupted(train):
+    try:
+        _solve(_InterruptedAlgebra(), _Router(train), _Router(Dataset(train.schema, ())), None)
+    except RecursionError:
+        return
+    raise AssertionError("the solve finished before its 100th split")
+
+
+_ROUTES = {
+    "summary-counts": lambda tr, te, lim: forest_summary(tr, te, lim),
+    "summary-totals": lambda tr, te, lim: forest_summary(
+        tr, te, lim, track=TrackOptions(error_hist=False)
+    ),
+    "summary-stream": lambda tr, te, lim: forest_summary(tr, te, lim, mode="stream"),
+    "min-size": lambda tr, te, lim: min_consistent_size(tr, lim.max_nodes),
+    "solve-raises": lambda tr, te, lim: _solve_interrupted(tr),
+    "walk-exhausted": lambda tr, te, lim: list(iter_consistent(tr, lim)),
+    "walk-closed": lambda tr, te, lim: _walk_closed_early(tr, lim),
+    "walk-truncated": lambda tr, te, lim: _walk_truncated(tr, lim),
+    "run-trials": lambda tr, te, lim: run_trials(preset("fig1"), threads=1),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_routes_leave_no_cyclic_garbage(route):
+    # what a trial or a walk builds is freed by reference counting when it
+    # is dropped; a reference cycle would keep it until the cyclic collector
+    train, test = split_disjoint(_full("mux6"), 20, SplitMix64(1))
+    gc.collect()
+    gc.disable()
+    try:
+        _ROUTES[route](train, test, EnumerationLimits(7))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_parity_walk_reaches_its_trees_without_searching_smaller_sizes():
