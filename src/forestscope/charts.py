@@ -85,10 +85,10 @@ def line_chart(
 ) -> str:
     """Render series as polylines with axes, ticks, and a legend."""
     pts = [p for _, data in series for p in data]
-    if not pts:
-        raise ValueError("nothing to plot")
-    xs = [x for x, _ in pts]
-    ys = [y for _, y in pts]
+    if not pts:  # nothing to scale: the frame, title and axis labels only
+        series = ()
+    xs = [x for x, _ in pts] or [0.0]
+    ys = [y for _, y in pts] or [0.0]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(0.0, min(ys)), max(ys)
     if x_hi == x_lo:
@@ -113,7 +113,7 @@ def line_chart(
         f'<text x="{_W / 2:.1f}" y="22" text-anchor="middle" font-size="15">'
         f"{_escape(title)}</text>",
     ]
-    for tx in _ticks(x_lo, x_hi):
+    for tx in _ticks(x_lo, x_hi) if pts else ():
         x = px(tx)
         parts.append(
             f'<line x1="{x:.2f}" y1="{_MT}" x2="{x:.2f}" y2="{_MT + plot_h}" '
@@ -123,7 +123,7 @@ def line_chart(
             f'<text x="{x:.2f}" y="{_MT + plot_h + 18}" text-anchor="middle">'
             f"{_fmt(tx)}</text>"
         )
-    for ty in _ticks(y_lo, y_hi):
+    for ty in _ticks(y_lo, y_hi) if pts else ():
         y = py(ty)
         parts.append(
             f'<line x1="{_ML}" y1="{y:.2f}" x2="{_ML + plot_w}" y2="{y:.2f}" '
@@ -172,5 +172,6 @@ def line_chart(
 
 
 def write_chart(path, title: str, x_label: str, y_label: str, series) -> None:
+    svg = line_chart(title, x_label, y_label, series)  # rendered before the file opens
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(line_chart(title, x_label, y_label, series))
+        fh.write(svg)

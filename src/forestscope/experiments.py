@@ -51,7 +51,6 @@ from .rng import SplitMix64, derive_seed
 from .stats import TrialRecord
 
 _SPLIT_MODES = ("disjoint", "with_replacement", "leave_one_out")
-_FILTER_MODES = ("none", "post_filter")
 _ANALYSES = (
     "cardinality",
     "min_size_groups",
@@ -84,7 +83,7 @@ class ExperimentConfig:
     legs: tuple[LegSpec, ...]
     split_mode: str = "disjoint"
     test_size: int | None = None  # with_replacement only
-    filter_mode: str = "none"
+    # bounds, when given, mark the disjoint draws that break them unaccepted
     class_bounds: tuple[tuple[int, tuple[int, int]], ...] = ()
     value_bounds: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = ()
     leaf_coverage: int | None = None
@@ -113,12 +112,11 @@ class ExperimentConfig:
             raise ExperimentError("test_size is required by (and only by) with_replacement")
         if self.test_size is not None and self.test_size < 1:
             raise ExperimentError("test_size must be >= 1")
-        if self.filter_mode not in _FILTER_MODES:
-            raise ExperimentError(f"unknown filter_mode {self.filter_mode!r}")
-        if self.filter_mode != "none" and self.split_mode != "disjoint":
+        bounded = self.class_bounds or self.value_bounds
+        if bounded and self.split_mode != "disjoint":
             raise ExperimentError("representative filtering needs disjoint splits")
         if self.leaf_coverage is not None:
-            if self.split_mode != "disjoint" or self.filter_mode != "none":
+            if self.split_mode != "disjoint" or bounded:
                 raise ExperimentError("leaf coverage needs plain disjoint splits")
             if self.leaf_coverage < 1:
                 raise ExperimentError("leaf_coverage must be >= 1")
@@ -216,7 +214,7 @@ def _draw(ctx: _RunContext, leg: LegSpec, t: int, rng: SplitMix64):
         )
         return train, test, True
     train, test = split_disjoint(ctx.data, leg.n_train, rng)
-    if config.filter_mode == "post_filter":
+    if config.class_bounds or config.value_bounds:
         bounds = (dict(config.class_bounds) or None, dict(config.value_bounds) or None)
         return train, test, representative_filter(train, *bounds) is None
     return train, test, True
@@ -611,7 +609,6 @@ _PRESETS: dict[str, Callable[[], ExperimentConfig]] = {
         "xyz20x100",
         100,
         ("cardinality",),
-        filter_mode="post_filter",
         class_bounds=_REPRESENTATIVE_CLASS_BOUNDS,
         value_bounds=_REPRESENTATIVE_VALUE_BOUNDS,
     ),

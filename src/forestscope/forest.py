@@ -35,7 +35,7 @@ Three routes to the same forest live here, on purpose:
   keeps exact Python-int tree counts keyed on one packed int per (splits,
   misclassified weight, leaves, path tests), the last two only when
   tracked, so no count is fixed-width and none can wrap; `_TotalsAlgebra`,
-  for test errors without a histogram, sums them in the values instead;
+  for test errors with no histogram at all, sums them in the values instead;
   `_MinSizeAlgebra` is min-plus, giving `min_consistent_size` in one pass.
   This is what makes thousand-trial runs affordable.  It serves every request,
   path-length bins included: a tree's path-test total is additive over its
@@ -366,8 +366,8 @@ class TrackOptions:
 
     error_hist: histogram of misclassified test weight per tree (needed by
         pairwise statistics).  Off = the buckets carry only the exact
-        tree, correct and misclassified totals, which `_TotalsAlgebra` sums
-        without keying trees on their error.
+        tree, correct and misclassified totals; with neither option below,
+        `_TotalsAlgebra` sums them without keying trees on their error.
     leaf_hist: histogram of leaf counts per tree.
     path_bins: histogram bin width for per-tree average path length over
         the population; computed from the exact algebraic profile.  Set,
@@ -435,18 +435,28 @@ def forest_summary(
     option; 'stream' walks every tree with the search enumerator and
     measures it directly, the oracle the tests compare the algebraic route
     against.  Only mode 'stream' raises EnumerationTruncated past
-    limits.max_trees.
+    limits.max_trees.  Both modes check their inputs first, alike: the test
+    set's arities and class count (ValueError), and each population
+    instance against the training schema (SchemaError).
     """
     if mode not in ("stream", "algebraic"):
         raise ValueError(f"unknown mode {mode!r}")
+    schema = train.schema
+    if test is not None and (test.schema.arities, test.schema.n_classes) != (
+        schema.arities, schema.n_classes
+    ):
+        raise ValueError("test set does not share the training set's features and classes")
+    pop = _population_router(schema, tuple(population)) if population is not None else None
     if track.path_bins is not None:
         if track.path_bins <= 0:
             raise ValueError("path_bins width must be positive")
         if population is None:
             raise ValueError("path-length tracking needs a population")
+        if not population:
+            raise ValueError("path population is empty")
     if mode == "stream":
         return _summary_stream(train, test, limits, population, track)
-    return _summary_algebraic(train, test, limits, population, track)
+    return _summary_algebraic(train, test, limits, pop, track)
 
 
 def _path_bin(total_tests: int, npop: int, width: float) -> int:
@@ -508,20 +518,20 @@ def _summary_stream(train, test, limits, population, track) -> ForestSummary:
     )
 
 
-def _summary_algebraic(train, test, limits, population, track) -> ForestSummary:
+def _summary_algebraic(train, test, limits, pop, track) -> ForestSummary:
     tr = _Router(train)
     if tr.n == 0:
         raise ValueError("training set is empty")
     te = _Router(test if test is not None else Dataset(train.schema, ()))
     cap = _effective_cap(limits.max_nodes, tr.n)
     test_weight = te.full.bit_count()
-    npop = len(population) if population is not None else None
-    algebra = _CountAlgebra if track.error_hist or test is None else _TotalsAlgebra
+    npop = pop.full.bit_count() if pop is not None else None
+    sums_only = not (track.error_hist or track.leaf_hist or track.path_bins is not None)
+    algebra = _TotalsAlgebra if test is not None and sums_only else _CountAlgebra
     alg = algebra(
         cap, test_weight, max(tr.arities), track, track.error_hist and test is not None, npop
     )
-    pop = _population_router(train.schema, tuple(population)) if alg.use_path else None
-    buckets, bins = alg.tables(_solve(alg, tr, te, pop)[0])
+    buckets, bins = alg.tables(_solve(alg, tr, te, pop if alg.use_path else None)[0])
     return ForestSummary(
         buckets=buckets,
         test_weight=test_weight,
@@ -641,9 +651,10 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
 # `_CountAlgebra` counts trees exactly in Python ints within its split cap,
 # and its mul(a, b, room, out=None, base=0) adds the product of independent
 # children, keys raised by `base`, into `out` (a new dict when None) and
-# returns it, never mutating `a` or `b`; `_TotalsAlgebra` keeps its keys
-# without their misclassified weight, which it sums in (trees, correct,
-# misclassified) values, taking the weight from the misc field of `base`;
+# returns it, never mutating `a` or `b`; `_TotalsAlgebra` serves only a test
+# set with no histogram at all, so its keys hold the split count alone, and
+# sums the misclassified weight in (trees, correct, misclassified) values,
+# taking it from the misc field of `base`;
 # `_MinSizeAlgebra` is min-plus, ignores the room and needs no mul.  A
 # profile is cut by depth: a subproblem at depth d (d features used on its
 # path) sits under d splits, so its trees keep at most cap - d splits and
@@ -803,10 +814,11 @@ class _TotalsAlgebra(_CountAlgebra):
     """A dict key -> (trees, correct, misclassified): the expectation
     semiring (Li & Eisner, EMNLP 2009) with the error-free count alongside.
 
-    Keys keep `_CountAlgebra`'s fields, misc always 0, and independent
-    children multiply as (c1 c2, z1 z2, m1 c2 + c1 m2).  `mul` and `attach`
-    take the closed leaves' misclassified weight out of the misc field of
-    `base`; nonzero, it zeroes `correct` and adds that weight times `trees`.
+    Only a test set with no error, leaf or path histogram runs it, so its
+    keys hold the split count alone (misc is always 0).  Children multiply
+    as (c1 c2, z1 z2, m1 c2 + c1 m2).  `mul` and `attach` take the closed
+    leaves' misclassified weight out of the misc field of `base`; nonzero,
+    it zeroes `correct` and adds that weight times `trees`.
     """
 
     def leaf(self, misc: int) -> dict[int, tuple[int, int, int]]:
@@ -847,29 +859,8 @@ class _TotalsAlgebra(_CountAlgebra):
         return out
 
     def tables(self, profile):
-        buckets: dict[int, CardinalityBucket] = {}
-        bins: dict[int, list[int]] | None = {} if self.use_path else None
-        for k in sorted(profile):
-            trees, correct, wrong = profile[k]
-            b = buckets.get(k >> self.split_shift)
-            if b is None:
-                b = buckets[k >> self.split_shift] = CardinalityBucket(
-                    leaf_hist={} if self.use_leaves else None,
-                    path_tests_total=0 if self.use_path else None,
-                )
-            b.tree_count += trees
-            b.correct_count += correct
-            b.misclassified_total += wrong
-            if self.use_leaves:
-                leaves = (k >> self.leaf_shift) & self.leaf_mask
-                b.leaf_hist[leaves] = b.leaf_hist.get(leaves, 0) + trees
-            if self.use_path:
-                path = k & self.path_mask
-                b.path_tests_total += path * trees
-                slot = bins.setdefault(_path_bin(path, self.npop, self.width), [0, 0])
-                slot[0] += trees
-                slot[1] += wrong
-        return buckets, bins
+        shift = self.split_shift
+        return {k >> shift: CardinalityBucket(*profile[k]) for k in sorted(profile)}, None
 
 
 class _MinSizeAlgebra:

@@ -9,6 +9,7 @@ from forestscope import (
     binary_schema,
     instance_space,
 )
+from forestscope.rng import SplitMix64
 
 
 def table_dataset(schema: FeatureSchema, labels) -> Dataset:
@@ -42,3 +43,36 @@ def xor2(schema2):
 @pytest.fixture
 def and3(schema3):
     return table_dataset(schema3, [int(a and b) for a in (0, 1) for b in (0, 1) for _ in (0, 1)])
+
+
+def shuttle_stand_in() -> Dataset:
+    """A seeded stand-in for the shuttle data that fig15 reads from a file.
+
+    Its shape is that of the real file: 277 rows over 4 binary and 2
+    four-valued features, so each of the 256 instances once plus 21
+    repeated rows, shuffled; 2 classes, labelled by a concept whose
+    smallest consistent tree has 7 splits.
+    """
+    schema = FeatureSchema(
+        features=(
+            ("stability", ("stab", "xstab")),
+            ("error", ("xl", "lx")),
+            ("sign", ("pp", "nn")),
+            ("wind", ("head", "tail")),
+            ("magnitude", ("low", "medium", "strong", "outofrange")),
+            ("visibility", ("no", "yes", "poor", "good")),
+        ),
+        classes=("noauto", "auto"),
+    )
+
+    def label(x):
+        stability, error, _sign, wind, magnitude, visibility = x
+        if stability == 0:
+            return int(visibility >= 2 and magnitude != 3)
+        return int(error == 0 and visibility != 0 and wind == 0)
+
+    space = list(instance_space(schema))
+    r = SplitMix64(1994)
+    rows = space + [space[i] for i in r.sample_indices(len(space), 21)]
+    rows = [rows[i] for i in r.sample_indices(len(rows), len(rows))]
+    return Dataset(schema, tuple(LabeledExample(x, label(x)) for x in rows))

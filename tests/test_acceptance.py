@@ -6,6 +6,7 @@ deterministic; the bands themselves come from the reference tables.
 """
 
 import filecmp
+import hashlib
 import itertools
 import os
 import time
@@ -38,11 +39,14 @@ from forestscope import (
     preset,
     run_trials,
     sample_with_replacement,
+    save_dataset,
     split_disjoint,
 )
 from forestscope.dataset import Dataset, LabeledExample
 from forestscope.experiments import select_legs
 from forestscope.rng import SplitMix64, stream
+
+from conftest import shuttle_stand_in
 
 pytestmark = pytest.mark.acceptance
 
@@ -310,6 +314,37 @@ def test_path_length_bins_hold_every_tree_for_any_worker_count(tmp_path):
     assert sorted(os.listdir(outs[1])) == names
     for name in names:
         assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
+
+
+# SHA-256 of fig15's outputs at seed 9 on the generated shuttle stand-in
+_FIG15_STAND_IN_DIGESTS = {
+    "cardinality_stats.csv": "16d94d841858cd8b84a8107634f0e25ba22fbc2e8dc43bf464719f93d578ed21",
+    "run_manifest.csv": "fc404f49e95bc64961fa7dc2668dcfc090524c704db0e1b87e956d90cf8378ff",
+    "trial_records.jsonl": "b10c8fd1219f60e4602dfac542a3405de88e929a48edbf337ce0d39626c446bc",
+}
+
+
+def test_fig15_runs_on_a_shuttle_stand_in_for_any_worker_count(tmp_path):
+    # the only preset on file data with repeated rows, more than 256 rows
+    # and 4-valued features; its bytes are pinned and worker-count free
+    data = shuttle_stand_in()
+    assert (len(data), data.distinct_instances(), min_consistent_size(data)) == (277, 256, 7)
+    src = tmp_path / "shuttle.csv"
+    save_dataset(data, str(src))
+    cfg = replace(preset("fig15"), source=f"file:{src}", master_seed=SEED)
+    outs = []
+    for workers in (1, 2):
+        res = run_trials(cfg, threads=workers)
+        out = tmp_path / f"w{workers}"
+        emit_all(cfg, res, str(out))
+        outs.append(out)
+    assert all(r.accepted and r.min_size for leg in res for r in leg.records)
+    names = sorted(os.listdir(outs[0]))
+    assert sorted(os.listdir(outs[1])) == names == sorted(_FIG15_STAND_IN_DIGESTS)
+    for name in names:
+        assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
+        digest = hashlib.sha256((outs[0] / name).read_bytes()).hexdigest()
+        assert digest == _FIG15_STAND_IN_DIGESTS[name], name
 
 
 def test_deep_budget_leg_stays_behind_a_flag():

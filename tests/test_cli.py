@@ -315,6 +315,30 @@ def test_experiment_writes_run_directory(tmp_path, capsys):
     assert "trial" in err  # progress lines go to stderr
 
 
+@pytest.mark.parametrize("trials", ["1", "2"])
+def test_charts_of_tables_without_rows_draw_an_empty_frame(tmp_path, trials):
+    # fig12's min-size conditions 5, 6 and 7 match no trial among so few,
+    # so its pairwise table has a header and no rows
+    import xml.etree.ElementTree as ET
+
+    out_dir = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-m", "forestscope.cli", "experiment", "--preset", "fig12",
+         "--trials", trials, "--seed", "9", "--charts", "--threads", "1", "--quiet",
+         "--out", str(out_dir)],
+        capture_output=True, text=True, env=child_env(), cwd=tmp_path,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len((out_dir / "pairwise.csv").read_text().splitlines()) == 1
+    svg = ET.parse(out_dir / "pairwise.svg").getroot()
+    assert svg.tag == "{http://www.w3.org/2000/svg}svg"
+    texts = [t.text for t in svg.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[0] == "pairwise outcome shares"
+    assert "cardinality difference" in texts and "probability" in texts
+    assert not list(svg.iter("{http://www.w3.org/2000/svg}polyline"))
+
+
 def test_experiment_quiet_silences_progress(tmp_path, capsys):
     code, _, err = run_main(
         capsys,

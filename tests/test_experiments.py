@@ -169,7 +169,9 @@ def test_config_validation_rejects_bad_combinations():
     with pytest.raises(ExperimentError):
         small_config(split_mode="with_replacement")  # needs test_size
     with pytest.raises(ExperimentError):
-        small_config(split_mode="leave_one_out", filter_mode="post_filter")
+        small_config(split_mode="leave_one_out", class_bounds=((1, (5, 8)),))
+    with pytest.raises(ExperimentError):
+        small_config(leaf_coverage=2, value_bounds=(((0, 1), (7, 13)),))
     with pytest.raises(ExperimentError):
         small_config(analyses=("path_length",))  # needs a bin width
     with pytest.raises(ExperimentError):
@@ -305,7 +307,6 @@ def test_leave_one_out_holds_out_each_row():
 
 def test_post_filter_marks_rather_than_redraws():
     cfg = small_config(
-        filter_mode="post_filter",
         class_bounds=((1, (5, 8)),),
         legs=(LegSpec(label="", n_train=20, trial_count=20, max_nodes=6),),
     )

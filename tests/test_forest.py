@@ -35,7 +35,7 @@ from forestscope import (
     sample_with_replacement,
     split_disjoint,
 )
-from forestscope import FeatureSchema, check_structure
+from forestscope import FeatureSchema, SchemaError, check_structure
 from forestscope.experiments import preset, run_trials
 from forestscope.forest import _MinSizeAlgebra, _Router, _solve
 from forestscope.rng import SplitMix64
@@ -406,6 +406,8 @@ def test_empty_test_set_gives_the_same_summary_on_both_routes():
 def test_error_totals_equal_the_histogram_summary_without_its_histograms(leaves, paths, seed, mux):
     # fig8-shaped draws (31 train and 1000 test rows drawn with replacement,
     # here capped) and mux6 draws; error_hist off runs the totals algebra
+    # when leaves and paths are off too, and otherwise the counting algebra
+    # without a histogram, held here to the counting algebra with one
     r = SplitMix64(seed)
     if mux:
         data = apply_concept(get_concept("mux6"))
@@ -451,6 +453,62 @@ def test_error_totals_keep_one_key_per_tree_size(monkeypatch):
     assert (totals, counts) == (forest._TotalsAlgebra, forest._CountAlgebra)
     assert len(sums.buckets) <= n_totals <= cap + 1 < n_counts
     assert sums.buckets.keys() == hist.buckets.keys()
+
+
+def test_each_request_runs_the_algebra_built_for_it(monkeypatch):
+    # the totals algebra serves a test set with no histogram at all; every
+    # other request, and every request without a test set, counts keys
+    import forestscope.forest as forest
+
+    seen = []
+    solve = forest._solve
+    monkeypatch.setattr(forest, "_solve", lambda alg, *a: seen.append(type(alg)) or solve(alg, *a))
+    data = apply_concept(get_concept("xyz-or-ab"))
+    train, test = split_disjoint(data, 20, SplitMix64(3))
+    pop = list(instance_space(data.schema))
+    lim = EnumerationLimits(max_nodes=6)
+    for with_test, errors, leaves, paths in itertools.product((True, False), repeat=4):
+        track = TrackOptions(errors, leaves, 0.25 if paths else None)
+        forest_summary(train, test if with_test else None, lim, pop, track)
+        totals = with_test and not (errors or leaves or paths)
+        assert seen.pop() is (forest._TotalsAlgebra if totals else forest._CountAlgebra)
+    assert not seen
+
+
+_MODES = ("stream", "algebraic")
+
+
+@pytest.mark.parametrize("mode", _MODES)
+def test_both_modes_refuse_an_empty_population_for_path_bins(mode):
+    train, test = split_disjoint(_full("xyz-or-ab"), 20, SplitMix64(3))
+    with pytest.raises(ValueError, match="population is empty"):
+        forest_summary(train, test, EnumerationLimits(5), [], TrackOptions(path_bins=0.25), mode)
+
+
+@pytest.mark.parametrize("mode", _MODES)
+@pytest.mark.parametrize("paths", [None, 0.25])
+@pytest.mark.parametrize("bad", [(0, 1, -1, 0, 1), (0, 1, 0, 1)])
+def test_both_modes_validate_the_population_first(mode, paths, bad):
+    # a value out of range or an instance of the wrong width, behind valid ones
+    data = _full("xyz-or-ab")
+    train, test = split_disjoint(data, 20, SplitMix64(3))
+    pop = list(instance_space(data.schema)) + [bad]
+    with pytest.raises(SchemaError):
+        forest_summary(train, test, EnumerationLimits(5), pop, TrackOptions(path_bins=paths), mode)
+
+
+@pytest.mark.parametrize("mode", _MODES)
+def test_both_modes_refuse_a_test_set_over_another_schema(mode):
+    train, _ = split_disjoint(_full("ab"), 20, SplitMix64(3))
+    other_features = _full("mux6")
+    three_classes = FeatureSchema(train.schema.features, ("lo", "mid", "hi"))
+    other_classes = Dataset(three_classes, tuple(replace(ex, label=2) for ex in train.examples))
+    renamed = Dataset(binary_schema("VWXYZ"), train.examples)
+    for test in (other_features, other_classes):
+        with pytest.raises(ValueError, match="features and classes"):
+            forest_summary(train, test, EnumerationLimits(4), mode=mode)
+    # names may differ: arities and class count are what the routes read
+    assert forest_summary(train, renamed, EnumerationLimits(4), mode=mode).total_trees
 
 
 def test_misclassified_totals_add_over_test_rows():
@@ -512,6 +570,44 @@ def test_feature_permutation_leaves_counts_alone(seed):
     assert {c: b.tree_count for c, b in base.buckets.items()} == {
         c: b.tree_count for c, b in moved.buckets.items()
     }
+
+
+@pytest.mark.property_based
+@given(st.integers(0, 2**32), st.booleans(), st.sampled_from([None, 3, 5]))
+@settings(max_examples=100, deadline=None)
+def test_relabeling_the_values_of_a_three_valued_feature_leaves_buckets_alone(
+    seed, with_replacement, cap
+):
+    # the values of lenses' `age` permuted in the train set, the test set
+    # and the population: each tree maps to one with its children reordered,
+    # of the same size, leaves, errors and path tests
+    data = bundled_dataset("lenses")
+    age = data.schema.feature_index("age")
+    r = SplitMix64(seed)
+    perm = r.sample_indices(3, 3)
+    if with_replacement:
+        train = sample_with_replacement(data, 4 + r.below(12), r)
+        test = sample_with_replacement(data, 1 + r.below(24), r)
+    else:
+        train, test = split_disjoint(data, 4 + r.below(12), r)
+
+    def moved(x):
+        return x[:age] + (perm[x[age]],) + x[age + 1 :]
+
+    def relabel(d):
+        rows = (LabeledExample(moved(ex.instance), ex.label) for ex in d.examples)
+        return Dataset(d.schema, tuple(rows))
+
+    pop = list(instance_space(data.schema))
+    lim = EnumerationLimits(max_nodes=cap)
+    track = TrackOptions(leaf_hist=True, path_bins=0.25)
+    base = forest_summary(train, test, lim, pop, track)
+    moved_pop = [moved(x) for x in pop]
+    assert base == forest_summary(relabel(train), relabel(test), lim, moved_pop, track)
+    sums = TrackOptions(error_hist=False)
+    assert forest_summary(train, test, lim, track=sums) == forest_summary(
+        relabel(train), relabel(test), lim, track=sums
+    )
 
 
 @pytest.mark.property_based

@@ -1,12 +1,14 @@
 """Generator portability: fixed reference vectors and bound/derivation laws."""
 
 import pickle
+import sys
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestscope.rng import SplitMix64, derive_seed, stream
+from forestscope.rng import SplitMix64, _words, derive_seed, stream
 
 _MASK64 = (1 << 64) - 1
 
@@ -169,3 +171,20 @@ def test_pickled_generator_continues_the_stream():
     copy = pickle.loads(pickle.dumps(r))
     assert copy.below_many(1000, 100) == r.below_many(1000, 100)
     assert copy.sample_indices(50, 20) == r.sample_indices(50, 20)
+
+
+@pytest.mark.property_based
+@given(seeds, counts)
+@settings(max_examples=100, deadline=None)
+def test_big_endian_lanes_read_back_the_scalar_stream(seed, k):
+    # a big-endian host reads each little-endian 8-byte word of a lane
+    # byte-reversed; reversing every word here and claiming a big-endian
+    # host drives `_words`' byte swap back to the stream's values
+    lanes = SplitMix64(seed)._take(k)
+    swapped = array("Q", lanes)
+    swapped.byteswap()
+    ref = ScalarSplitMix64(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "byteorder", "big")
+        got = _words(swapped.tobytes())
+    assert got == [ref.next_u64() for _ in range(k)]
