@@ -357,10 +357,10 @@ def emit_all(
         if "pairwise_min" in config.analyses:
             pair_runs += [("min", k) for k in config.pairwise_conditions or (None,)]
         if pair_runs:
-            # One set of vectors per leg serves every pairwise table.
-            tails = [stats._tail_vectors(t) for t in used]
+            # Each trial is packed once per leg, for every pairwise table.
+            packed = [stats._columns(t) for t in used]
             for baseline, k in pair_runs:
-                chosen = stats._with_min_size_in(tails, None if k is None else (k,))
+                chosen = stats._with_min_size_in(packed, None if k is None else (k,))
                 rows = stats._pairwise(chosen, baseline)
                 pair.append((key + (baseline, "" if k is None else str(k)), rows))
         if "policy" in config.analyses:
@@ -485,6 +485,13 @@ def _is_int(value) -> bool:
     return type(value) is int
 
 
+def _count(text: str) -> int:
+    """An int, or int key, of a record dump: a count, an id or a seed, never negative."""
+    if (value := int(text)) < 0:
+        raise ValueError(f"negative count {text}")
+    return value
+
+
 # The int-keyed dicts, each with the check of an entry's value.
 _INT_KEYED = {
     "error_hist": _is_int,
@@ -499,11 +506,11 @@ def _json_object(value) -> dict:
     return value
 
 
-def _pick(get: Callable, source, names: Sequence[str], key: type) -> dict:
+def _pick(get: Callable, source, names: Sequence[str], key: Callable) -> dict:
     """`get(source, name)` for each of `names`, each one required.
 
     The int-keyed dicts among them get their keys converted by `key`: to
-    dump a record, `getattr` and `str`; to load one, `getitem` and `int`.
+    dump a record, `getattr` and `str`; to load one, `getitem` and `_count`.
     """
     row = {}
     for name in names:
@@ -516,7 +523,7 @@ def _pick(get: Callable, source, names: Sequence[str], key: type) -> dict:
 
 def _load(row: dict, names: Sequence[str]) -> dict:
     """`names` of a loaded JSON object, each checked for its JSON type."""
-    picked = _pick(getitem, row, names, int)
+    picked = _pick(getitem, row, names, _count)
     for name, value in picked.items():
         entry_ok = _INT_KEYED.get(name)
         if type(value) not in _LOADED_TYPES.get(name, (int,)) or (
@@ -549,7 +556,7 @@ def load_trial_records(path) -> list[tuple[str, TrialRecord]]:
     """Read back a trial_records.jsonl dump as (table label, record) pairs.
 
     Raises ExperimentError, naming the line, on a line that is not UTF-8
-    text or not a whole record.
+    text or not a whole record, or that holds a negative int.
     """
     out: list[tuple[str, TrialRecord]] = []
     with open(path, "rb") as fh:
@@ -558,9 +565,9 @@ def load_trial_records(path) -> list[tuple[str, TrialRecord]]:
                 line = line.decode("utf-8").strip()
                 if not line:
                     continue
-                row = _json_object(json.loads(line))
+                row = _json_object(json.loads(line, parse_int=_count))
                 buckets = {
-                    int(c): CardinalityBucket(**_load(_json_object(b), _BUCKET_FIELDS))
+                    _count(c): CardinalityBucket(**_load(_json_object(b), _BUCKET_FIELDS))
                     for c, b in _json_object(row["buckets"]).items()
                 }
                 summary = ForestSummary(buckets=buckets, **_load(row, _SUMMARY_FIELDS))

@@ -11,10 +11,11 @@ works across mixed denominators (rates are per-trial means), but pairwise
 comparison and path-length pooling need one shared denominator and refuse
 mixtures explicitly.
 
-Pairwise tallies come from dense per-trial vectors of error counts and
-error tails over every size (see `pairwise`): each size gap is a few dot
-products, not one histogram sweep per pair of sizes.  `emit_all` builds
-the vectors once per call and shares them among its pairwise tables.
+Pairwise tallies come from exact big-int products (see `pairwise`): each
+trial packs its trees into one int per error count, slot r holding the
+trees r sizes above its minimum, and a handful of multiplications tally
+every size gap at once.  `emit_all` packs each trial once per leg and
+shares the ints among its pairwise tables.
 
 Each emitted CSV table is laid out once, as a `Table`: its key columns
 (preset and seed, plus baseline and condition for pairwise), then row
@@ -28,9 +29,7 @@ import csv
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import isqrt
-from operator import mul
 from statistics import fmean
 from typing import Iterable, NamedTuple, Sequence
 
@@ -209,37 +208,36 @@ def group_by_min_size(trials: Sequence[TrialRecord]) -> dict[int, MinSizeGroup]:
     }
 
 
-class _TailVectors(NamedTuple):
-    """One trial's error-count rows, dense over every size min..max.
-
-    Row r (size min_size + r) holds n_test + 1 ints at offset
-    r * (n_test + 1): `counts` are its trees per error k.  `totals[r]` is
-    the row's tree count; a size with no trees is a zero row.
-    """
+class _Columns(NamedTuple):
+    """One trial's trees per error k: `cols[k]` holds size min_size + r in
+    slot r of `width` bits, `revs[k]` the same slots reversed (see `pairwise`)."""
 
     min_size: int | None
     n_test: int
-    counts: list[int]
-    totals: list[int]
+    sizes: int
+    width: int
+    cols: list[int]
+    revs: list[int]
 
 
-def _tail_vectors(t: TrialRecord) -> _TailVectors:
+def _columns(t: TrialRecord) -> _Columns:
     hists = _trial_histograms(t)
-    width = t.n_test + 1
-    counts: list[int] = []
-    totals: list[int] = []
-    for c in range(min(hists, default=0), max(hists, default=-1) + 1):
-        row = [0] * width
-        for k, v in hists.get(c, {}).items():
-            if not 0 <= k < width:
+    w = t.n_test + 1
+    lo, hi = min(hists, default=0), max(hists, default=-1)
+    total = sum(sum(h.values()) for h in hists.values())
+    width = (total * total).bit_length()
+    cols, revs = [0] * w, [0] * w
+    for c, hist in hists.items():
+        up, down = (c - lo) * width, (hi - c) * width
+        for k, v in hist.items():
+            if not 0 <= k < w or v < 0:
                 raise ValueError(
-                    f"trial {t.trial_id} has error {k} at size {c}, outside "
-                    f"0..{t.n_test}"
+                    f"trial {t.trial_id} has {v} trees with error {k} at size {c}; "
+                    f"errors lie in 0..{t.n_test} and counts are never negative"
                 )
-            row[k] = v
-        counts += row
-        totals.append(sum(row))
-    return _TailVectors(t.min_size, t.n_test, counts, totals)
+            cols[k] += v << up
+            revs[k] += v << down
+    return _Columns(t.min_size, t.n_test, hi - lo + 1, width, cols, revs)
 
 
 def _trial_histograms(t: TrialRecord) -> dict[int, dict[int, int]]:
@@ -268,18 +266,23 @@ def pairwise(
     restricts to trials whose minimum size is in the given set.  Each
     probability divides summed pair counts, so every pair weighs the same.
 
-    Each trial's histograms become dense vectors over every size from its
-    minimum to its maximum: error counts d_c[k] and totals n_c.  The
-    smaller side's rows (every row under 'all', only the minimum size
-    under 'min') also get lower tails below_c[k], the trees of size c with
-    error < k.  Size gap g then takes three dot products over offset rows:
-    pairs where the smaller tree errs less are sum_c,k below_c[k] *
-    d_{c+g}[k], ties are sum_c,k d_c[k] * d_{c+g}[k], all pairs are
-    sum_c n_c * n_{c+g}, and the rest are pairs where the larger tree errs
-    less.  A trial counts toward gap g when it has at least one pair there.
+    Each trial's trees become polynomials in x = 2**w, one per error
+    count k: col_k holds d_c[k], the trees of size c with error k, at
+    x**(c - min), and rev_k holds the same slots in reverse order.  A
+    product rev_j * col_k then holds at x**(S - 1 + g), S the number of
+    sizes, the pairs of a size-c tree with error j and a size-(c + g) tree
+    with error k, summed over c.  So, with lead_k = rev_k (under 'min',
+    only its top slot, the minimum size), size gap g reads
+    sum_k (sum_{j<k} lead_j) * col_k for pairs where the smaller tree errs
+    less, sum_k lead_k * col_k for ties and (sum lead) * (sum col) for all
+    pairs; the rest are pairs where the larger tree errs less.  Every
+    tally of a slot is at most T**2, T the trial's tree count, so slots of
+    w = (T*T).bit_length() bits never carry into each other and every
+    read is exact; a negative count would borrow across slots, and is
+    refused.  A trial counts toward gap g when it has a pair there.
     """
     chosen = _with_min_size_in(trials, min_size_in)
-    return _pairwise([_tail_vectors(t) for t in chosen], baseline)
+    return _pairwise([_columns(t) for t in chosen], baseline)
 
 
 def _with_min_size_in(trials, min_size_in):
@@ -291,9 +294,9 @@ def _with_min_size_in(trials, min_size_in):
     ]
 
 
-def _pairwise(chosen: Sequence[_TailVectors], baseline: str) -> list[PairwiseRow]:
+def _pairwise(chosen: Sequence[_Columns], baseline: str) -> list[PairwiseRow]:
     """`pairwise` over trials already chosen by `_with_min_size_in` and
-    turned into `_tail_vectors`."""
+    turned into `_columns`."""
     if baseline not in ("all", "min"):
         raise ValueError(f"unknown baseline {baseline!r}")
     denoms = {t.n_test for t in chosen}
@@ -302,23 +305,28 @@ def _pairwise(chosen: Sequence[_TailVectors], baseline: str) -> list[PairwiseRow
     counts: dict[int, list[int]] = {}
     present: Counter[int] = Counter()
     for t in chosen:
-        d, n, w = t.counts, t.totals, t.n_test + 1
-        lead, lead_n = (d, n) if baseline == "all" else (d[:w], n[:1])
-        lead_below: list[int] = []
-        for r in range(0, len(lead), w):
-            lead_below += accumulate(lead[r : r + w - 1], initial=0)
-        for diff in range(1, len(n)):
-            pairs = sum(map(mul, lead_n, n[diff:]))
-            if not pairs:
+        width, top = t.width, (t.sizes - 1) * t.width
+        leads = t.revs if baseline == "all" else [v >> top << top for v in t.revs]
+        # ties sit above the 2 * sizes - 1 slots of the smaller-errs-less
+        # tally, so one product per error count yields both
+        span = top + width * t.sizes
+        below = tally = 0
+        for lead, col in zip(leads, t.cols):
+            tally += ((lead << span) + below) * col
+            below += lead
+        pairs = below * sum(t.cols)
+        mask = (1 << width) - 1
+        for diff in range(1, t.sizes):
+            at = top + diff * width
+            n = pairs >> at & mask
+            if not n:
                 continue
-            lo, hi = diff * w, diff * w + len(lead)
-            s = sum(map(mul, lead_below, d[lo:hi]))
-            e = sum(map(mul, lead, d[lo:hi]))
-            l = pairs - s - e
+            s = tally >> at & mask
+            e = tally >> (span + at) & mask
             slot = counts.setdefault(diff, [0, 0, 0])
             slot[0] += s
             slot[1] += e
-            slot[2] += l
+            slot[2] += n - s - e
             present[diff] += 1
     rows = []
     for diff in sorted(counts):

@@ -475,6 +475,23 @@ def test_trial_records_loader_rejects_malformed_rows(tmp_path, record_row, make)
         load_trial_records(str(p))
 
 
+@pytest.mark.parametrize(
+    "field, value, shown",
+    [
+        ("tree_count", -5, "-5"),
+        ("misclassified_total", -1, "-1"),
+        ("error_hist", {"3": -3}, "-3"),
+        ("error_hist", {"-2": 1}, "-2"),
+    ],
+)
+def test_trial_records_loader_refuses_negative_counts(tmp_path, record_row, field, value, shown):
+    p = tmp_path / "edited.jsonl"
+    edited = _with_bucket_field(record_row, field, value)
+    p.write_text(json.dumps(record_row) + "\n" + json.dumps(edited) + "\n", encoding="utf-8")
+    with pytest.raises(ExperimentError, match=f"line 2: negative count {shown}$"):
+        load_trial_records(str(p))
+
+
 def test_trial_records_loader_needs_every_field(tmp_path, record_row):
     p = tmp_path / "row.jsonl"
     bucket = next(iter(record_row["buckets"]))

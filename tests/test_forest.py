@@ -120,6 +120,26 @@ def test_parity_forest_matches_its_closed_form():
     assert _parity_count(5) == 1_658_880
 
 
+@pytest.mark.parametrize("n, size, trees", [(7, 127, "1.908e+27"), (8, 255, "2.913e+55")])
+def test_parity_closed_form_holds_past_64_bits_on_both_algebras(monkeypatch, n, size, trees):
+    # the counting algebra without a test set, and the totals algebra with
+    # the full space as its own test set, where every tree errs nowhere
+    import forestscope.forest as forest
+
+    seen = []
+    solve = forest._solve
+    monkeypatch.setattr(forest, "_solve", lambda alg, *a: seen.append(type(alg)) or solve(alg, *a))
+    schema = binary_schema([f"p{i}" for i in range(n)])
+    data = table_dataset(schema, [sum(x) % 2 for x in instance_space(schema)])
+    want = _parity_count(n)
+    assert f"{want:.3e}" == trees and want >= 2**64
+    for test in (None, data):
+        summary = forest_summary(data, test, track=TrackOptions(error_hist=False))
+        (c, b), = summary.buckets.items()
+        assert (c, b.tree_count, b.correct_count, b.misclassified_total) == (size, want, want, 0)
+    assert seen == [forest._CountAlgebra, forest._TotalsAlgebra]
+
+
 def test_mixed_arity_parity_forest_matches_its_closed_form():
     # the full space over arities (2, 3, 4, 2, 3), labelled by the sum of
     # its values mod 2: a subproblem with a feature left is impure and no

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import statistics
 import sys
 from fractions import Fraction
@@ -227,7 +228,7 @@ def brute_force_pairwise(trials, baseline, min_size_in):
 
 
 @st.composite
-def gapped_trials(draw):
+def gapped_trials(draw, max_count=3):
     """Trials whose sizes skip values, with errors anywhere in 0..n_test."""
     n_test = draw(st.integers(1, 4))
     trials = []
@@ -236,7 +237,9 @@ def gapped_trials(draw):
         buckets = {}
         for c in sizes:
             hist = draw(
-                st.dictionaries(st.integers(0, n_test), st.integers(1, 3), min_size=1, max_size=3)
+                st.dictionaries(
+                    st.integers(0, n_test), st.integers(1, max_count), min_size=1, max_size=3
+                )
             )
             n = sum(hist.values())
             buckets[c] = (n, hist.get(0, 0), sum(k * v for k, v in hist.items()), hist)
@@ -268,6 +271,88 @@ def test_pairwise_rejects_errors_outside_the_test_set(key):
     t = rec(7, {2: (2, 1, 0, {0: 1, key: 1}), 3: (1, 0, 1, {1: 1})}, 4)
     with pytest.raises(ValueError, match="trial 7"):
         pairwise([t], baseline="all")
+
+
+def test_pairwise_refuses_negative_counts():
+    # packed as is, the -3 would borrow from the next slot and every tally
+    # read above it would be wrong
+    t = rec(7, {2: (1, 0, 3, {0: 4, 1: -3}), 3: (1, 0, 1, {1: 1})}, 4)
+    with pytest.raises(ValueError, match="trial 7 has -3 trees"):
+        pairwise([t], baseline="all")
+
+
+def dot_product_tallies(trials, baseline, min_size_in=None):
+    """{diff: (smaller, equal, larger, trials_present)} from per-gap dot products.
+
+    Each trial's error counts are dense rows over every size, n_test + 1
+    ints each; size gap g takes three dot products over rows g apart, one
+    of them with the smaller side's lower tails.  Exact at any count, and
+    independent of `pairwise`'s packing.
+    """
+    out = {}
+    for t in trials:
+        if t.min_size is None or (min_size_in is not None and t.min_size not in min_size_in):
+            continue
+        w = t.n_test + 1
+        hists = {c: b.error_hist for c, b in t.summary.buckets.items() if b.tree_count}
+        d, n = [], []
+        for c in range(min(hists), max(hists) + 1):
+            row = [hists.get(c, {}).get(k, 0) for k in range(w)]
+            d += row
+            n.append(sum(row))
+        lead, lead_n = (d, n) if baseline == "all" else (d[:w], n[:1])
+        below = []
+        for r in range(0, len(lead), w):
+            below += itertools.accumulate(lead[r : r + w - 1], initial=0)
+        for diff in range(1, len(n)):
+            pairs = sum(map(operator.mul, lead_n, n[diff:]))
+            if not pairs:
+                continue
+            larger = d[diff * w : diff * w + len(lead)]
+            s = sum(map(operator.mul, below, larger))
+            e = sum(map(operator.mul, lead, larger))
+            old = out.get(diff, (0, 0, 0, 0))
+            out[diff] = (old[0] + s, old[1] + e, old[2] + pairs - s - e, old[3] + 1)
+    return out
+
+
+def _tallies(rows):
+    for r in rows:
+        n = r.smaller_count + r.equal_count + r.larger_count
+        assert (r.pair_count, r.p_smaller_exact, r.p_equal_exact) == (
+            n, Fraction(r.smaller_count, n), Fraction(r.equal_count, n)
+        )
+    return {r.diff: (r.smaller_count, r.equal_count, r.larger_count, r.trials_present) for r in rows}
+
+
+@pytest.mark.property_based
+@given(
+    trials=gapped_trials(max_count=2**80),
+    baseline=st.sampled_from(["all", "min"]),
+    min_size_in=st.none() | st.sets(st.integers(1, 9), min_size=1, max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_pairwise_matches_dot_products_at_big_counts(trials, baseline, min_size_in):
+    got = pairwise(trials, baseline=baseline, min_size_in=min_size_in)
+    assert _tallies(got) == dot_product_tallies(trials, baseline, min_size_in)
+
+
+@pytest.mark.parametrize("baseline", ["all", "min"])
+def test_pairwise_reads_exactly_when_a_tally_fills_its_slot(baseline):
+    # T = 2**40 - 1 trees make slots of (T*T).bit_length() = 80 bits; under
+    # either baseline the pairs within the minimum size fill theirs, the
+    # slot just under gap 1's, so one bit less would carry into gap 1
+    from forestscope.stats import _columns
+
+    big = 2**40 - 2
+    t = rec(0, {3: (big, big, 0, {0: big}), 5: (1, 0, 2, {2: 1})}, 2)
+    packed = _columns(t)
+    top = (packed.sizes - 1) * packed.width
+    lead = sum(packed.revs) if baseline == "all" else sum(packed.revs) >> top << top
+    same_size = lead * sum(packed.cols) >> top & (1 << packed.width) - 1
+    assert packed.width == same_size.bit_length() == 80
+    got = pairwise([t], baseline=baseline)
+    assert _tallies(got) == dot_product_tallies([t], baseline) == {2: (big, 0, 0, 1)}
 
 
 def test_best_cardinality_breaks_ties_low():
