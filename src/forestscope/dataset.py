@@ -149,7 +149,8 @@ class Dataset:
     rows.  Validation checks each pair of `runs` in that order, so the first
     error raised is the one a row-by-row pass would raise, and the bitset
     router reads its runs from the same count.  A drawn subset (`_subset`)
-    gets its `runs` from its source's row keys instead of hashing its rows.
+    gets its `runs` from its source's row keys instead of hashing its rows,
+    and is not checked again.
     """
 
     schema: FeatureSchema
@@ -158,9 +159,6 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "runs", Counter((ex.instance, ex.label) for ex in self.examples))
-        self._check_runs()
-
-    def _check_runs(self) -> None:
         arities = self.schema.arities
         n_classes = self.schema.n_classes
         for instance, label in self.runs:
@@ -403,7 +401,9 @@ def _subset(data: Dataset, indices: Sequence[int]) -> Dataset:
     """Rows `indices` (each in range(len(data))) of `data`: equal to
     `Dataset(data.schema, rows)`, `runs` included, but the runs are counted by
     index (ints, in C) and mapped to the source's row keys, so no drawn row is
-    hashed again; only a source with duplicate rows folds counts in Python."""
+    hashed again; only a source with duplicate rows folds counts in Python.
+    The rows are not validated again: every key of the subset's `runs` is a
+    key of `data.runs`, which `data`'s constructor checked."""
     counts = Counter(indices)
     keys = data._keys
     if len(data.runs) == len(keys):  # one row per key
@@ -415,7 +415,6 @@ def _subset(data: Dataset, indices: Sequence[int]) -> Dataset:
     out = object.__new__(Dataset)  # the fields, in __init__'s order, without recounting
     examples = tuple(map(data.examples.__getitem__, indices))
     out.__dict__.update(schema=data.schema, examples=examples, runs=runs)
-    out._check_runs()
     return out
 
 

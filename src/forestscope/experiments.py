@@ -91,7 +91,7 @@ class ExperimentConfig:
     seed_scope: str = ""
     max_trees: int = 50_000_000  # read only by perfbench/workloads.py; trials ignore it
     error_hist: bool = True
-    leaf_hist: bool = False
+    leaf_hist: bool = False  # read only by perfbench/workloads.py; must be False
     path_bin_width: float | None = None
     analyses: tuple[str, ...] = ("cardinality",)
     pairwise_conditions: tuple[int, ...] = ()
@@ -127,6 +127,8 @@ class ExperimentConfig:
             raise ExperimentError("path_length analysis needs path_bin_width")
         if self.path_bin_width is not None and self.path_bin_width <= 0:
             raise ExperimentError("path_bin_width must be positive")
+        if self.leaf_hist:
+            raise ExperimentError("leaf histograms are not tracked")
         needs_hist = {"pairwise_all", "pairwise_min"} & set(self.analyses)
         if needs_hist and not self.error_hist:
             raise ExperimentError("pairwise analyses need error histograms")
@@ -228,11 +230,7 @@ def _run_one(ctx: _RunContext, leg_index: int, t: int) -> TrialRecord:
     rng = SplitMix64(seed)
     train, test, accepted = _draw(ctx, leg, t, rng)
     limits = EnumerationLimits(max_nodes=leg.max_nodes)
-    track = TrackOptions(
-        error_hist=config.error_hist,
-        leaf_hist=config.leaf_hist,
-        path_bins=config.path_bin_width,
-    )
+    track = TrackOptions(error_hist=config.error_hist, path_bins=config.path_bin_width)
     population = list(ctx.population) if ctx.population is not None else None
     t0 = time.perf_counter()
     summary = forest_summary(train, test, limits, population, track)
@@ -454,7 +452,9 @@ def _write_chart(path, chart, sections) -> None:
 # record's own, its summary's, and under "buckets" each bucket's, keyed by
 # cardinality.  Fields in _INT_KEYED are dicts keyed by int; they, like
 # "buckets", are stored with str keys (JSON object keys are strings).  Every
-# row also carries its table label as "preset".
+# row also carries its table label as "preset", and every bucket
+# "leaf_hist": null, the field of leaf histograms, which are not tracked:
+# it is written as a constant, and a bucket loads only when it is null.
 _RECORD_FIELDS = ("trial_id", "seed", "accepted", "rejections", "n_train", "n_test", "min_size")
 _SUMMARY_FIELDS = ("test_weight", "population_size", "path_bin_width", "path_bins")
 _BUCKET_FIELDS = (
@@ -462,7 +462,6 @@ _BUCKET_FIELDS = (
     "correct_count",
     "misclassified_total",
     "error_hist",
-    "leaf_hist",
     "path_tests_total",
 )
 # The JSON types a loaded field may take, matched exactly so that a JSON
@@ -477,7 +476,6 @@ _LOADED_TYPES = {
     "path_bin_width": (float, int, _NONE),
     "path_bins": (dict, _NONE),
     "error_hist": (dict, _NONE),
-    "leaf_hist": (dict, _NONE),
 }
 
 
@@ -495,7 +493,6 @@ def _count(text: str) -> int:
 # The int-keyed dicts, each with the check of an entry's value.
 _INT_KEYED = {
     "error_hist": _is_int,
-    "leaf_hist": _is_int,
     "path_bins": lambda v: type(v) is list and len(v) == 2 and all(map(_is_int, v)),
 }
 
@@ -533,6 +530,12 @@ def _load(row: dict, names: Sequence[str]) -> dict:
     return picked
 
 
+def _load_bucket(row: dict) -> CardinalityBucket:
+    if row["leaf_hist"] is not None:
+        raise ValueError("leaf histograms are not tracked; leaf_hist must be null")
+    return CardinalityBucket(**_load(row, _BUCKET_FIELDS))
+
+
 # Each row is a fresh tree of plain values, so the encoder skips its check
 # for reference cycles.
 _ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
@@ -547,7 +550,8 @@ def _write_records(path, config, results) -> None:
                 row = _pick(getattr, r, _RECORD_FIELDS, str)
                 row.update(_pick(getattr, s, _SUMMARY_FIELDS, str), preset=label)
                 row["buckets"] = {
-                    str(c): _pick(getattr, b, _BUCKET_FIELDS, str) for c, b in s.buckets.items()
+                    str(c): {**_pick(getattr, b, _BUCKET_FIELDS, str), "leaf_hist": None}
+                    for c, b in s.buckets.items()
                 }
                 fh.write(_ENCODER.encode(row) + "\n")
 
@@ -567,7 +571,7 @@ def load_trial_records(path) -> list[tuple[str, TrialRecord]]:
                     continue
                 row = _json_object(json.loads(line, parse_int=_count))
                 buckets = {
-                    _count(c): CardinalityBucket(**_load(_json_object(b), _BUCKET_FIELDS))
+                    _count(c): _load_bucket(_json_object(b))
                     for c, b in _json_object(row["buckets"]).items()
                 }
                 summary = ForestSummary(buckets=buckets, **_load(row, _SUMMARY_FIELDS))

@@ -33,10 +33,11 @@ Three routes to the same forest live here, on purpose:
   multisets has its own bit in `_Router`'s masks, so each weight is a
   popcount.  `_CountAlgebra`
   keeps exact Python-int tree counts keyed on one packed int per (splits,
-  misclassified weight, leaves, path tests), the last two only when
-  tracked, so no count is fixed-width and none can wrap; `_TotalsAlgebra`,
-  for test errors with no histogram at all, sums them in the values instead;
-  `_MinSizeAlgebra` is min-plus, giving `min_consistent_size` in one pass.
+  misclassified weight, path tests), the last only when tracked, so no
+  count is fixed-width and none can wrap; `_TotalsAlgebra`, for test errors
+  with no histogram at all, keys on splits alone and sums the errors in the
+  values instead; `_MinSizeAlgebra` is min-plus, giving
+  `min_consistent_size` in one pass.
   This is what makes thousand-trial runs affordable.  It serves every request,
   path-length bins included: a tree's path-test total is additive over its
   splits (each adds the population weight reaching it), so the key carries
@@ -366,9 +367,10 @@ class TrackOptions:
 
     error_hist: histogram of misclassified test weight per tree (needed by
         pairwise statistics).  Off = the buckets carry only the exact
-        tree, correct and misclassified totals; with neither option below,
+        tree, correct and misclassified totals; without path bins either,
         `_TotalsAlgebra` sums them without keying trees on their error.
-    leaf_hist: histogram of leaf counts per tree.
+    leaf_hist: read only by the benchmark harness; leaf histograms are not
+        tracked, so it must be False, and True raises ValueError.
     path_bins: histogram bin width for per-tree average path length over
         the population; computed from the exact algebraic profile.  Set,
         it also sums each bucket's split-traversals over the population
@@ -379,6 +381,10 @@ class TrackOptions:
     leaf_hist: bool = False
     path_bins: float | None = None
 
+    def __post_init__(self):
+        if self.leaf_hist:
+            raise ValueError("leaf histograms are not tracked")
+
 
 @dataclass
 class CardinalityBucket:
@@ -386,7 +392,6 @@ class CardinalityBucket:
     correct_count: int = 0
     misclassified_total: int = 0
     error_hist: dict[int, int] | None = None
-    leaf_hist: dict[int, int] | None = None
     path_tests_total: int | None = None
 
 
@@ -478,7 +483,6 @@ def _summary_stream(train, test, limits, population, track) -> ForestSummary:
         if b is None:
             b = buckets[c] = CardinalityBucket(
                 error_hist={} if (track.error_hist and test is not None) else None,
-                leaf_hist={} if track.leaf_hist else None,
                 path_tests_total=0 if bins is not None else None,
             )
         b.tree_count += 1
@@ -494,9 +498,6 @@ def _summary_stream(train, test, limits, population, track) -> ForestSummary:
                 b.error_hist[misc] = b.error_hist.get(misc, 0) + 1
         else:
             b.correct_count += 1
-        if b.leaf_hist is not None:
-            leaves = treemod.leaf_count(t)
-            b.leaf_hist[leaves] = b.leaf_hist.get(leaves, 0) + 1
         if b.path_tests_total is not None:
             total_tests = 0
             for inst in population:
@@ -526,12 +527,13 @@ def _summary_algebraic(train, test, limits, pop, track) -> ForestSummary:
     cap = _effective_cap(limits.max_nodes, tr.n)
     test_weight = te.full.bit_count()
     npop = pop.full.bit_count() if pop is not None else None
-    sums_only = not (track.error_hist or track.leaf_hist or track.path_bins is not None)
-    algebra = _TotalsAlgebra if test is not None and sums_only else _CountAlgebra
-    alg = algebra(
-        cap, test_weight, max(tr.arities), track, track.error_hist and test is not None, npop
-    )
-    buckets, bins = alg.tables(_solve(alg, tr, te, pop if alg.use_path else None)[0])
+    use_path = track.path_bins is not None
+    if test is not None and not (track.error_hist or use_path):
+        alg = _TotalsAlgebra(cap)
+    else:
+        error_hist = track.error_hist and test is not None
+        alg = _CountAlgebra(cap, test_weight, error_hist, track.path_bins, npop)
+    buckets, bins = alg.tables(_solve(alg, tr, te, pop if use_path else None)[0])
     return ForestSummary(
         buckets=buckets,
         test_weight=test_weight,
@@ -553,13 +555,13 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
     One memoized recursion over subproblems (train rows, usable features),
     one memo table per usable set; `pop` is None when no population is
     tracked, which keeps its masks out of the per-split loop.  Each split
-    is attached (`alg.attach`) with its open children's profiles and its
-    key, summed from `alg.units` (split and path tests per subproblem,
-    closed leaves' misclassified weight and leaves per split), in the room
-    `alg.room(depth)` that a split at `depth` leaves its children.  A
-    two-valued feature splits without a list; purity and weights are
-    `_Router`'s one-probe expressions inline, and a child's test and
-    population rows are routed only where they are read.  The memo,
+    is attached (`alg.attach`) with its open children's profiles, its key,
+    summed from `alg.units` (split and path tests per subproblem, closed
+    leaves' misclassified weight per split), that misclassified weight
+    itself, and the room `alg.room(depth)` that a split at `depth` leaves
+    its children.  A two-valued feature splits without a list; purity and
+    weights are `_Router`'s one-probe expressions inline, and a child's
+    test and population rows are routed only where they are read.  The memo,
     `memo[usable][tr_bits]`, holds the profile of every impure subproblem
     the recursion reaches below the root.  `solve` calls itself through its
     closure cell, a cycle that would hold the memo for the cyclic collector;
@@ -575,7 +577,7 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
     pop_value = pop.value_mask if pop is not None else None
     row_class, tr_other, te_other = tr.row_class, tr.other_mask, te.other_mask
     zero, attach = alg.zero, alg.attach
-    split_unit, misc_unit, leaf_unit, path_unit = alg.units
+    split_unit, misc_unit, path_unit = alg.units
     # The used features are those not in `usable`, and the train rows
     # (never empty) all share their values on them, which fixes the path
     # and its depth; the test and population rows are those the path
@@ -605,7 +607,7 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
             te_masks = te_value[f]
             child_usable = usable ^ low
             table = memo[child_usable]
-            misc = leaves = 0
+            misc = 0
             parts = []
             for v, kb in enumerate(tr_kids):
                 if not kb:
@@ -614,12 +616,10 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
                         if maj is None:
                             maj = tr.majority(tr_bits)
                         misc += (te_kid & te_other[maj]).bit_count()
-                    leaves += 1
                     continue
                 c = row_class[(kb & -kb).bit_length() - 1]
                 if not kb & tr_other[c]:
                     misc += (te_bits & te_masks[v] & te_other[c]).bit_count()
-                    leaves += 1
                     continue
                 part = table.get(kb)
                 if part is None:
@@ -630,7 +630,7 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
                         child_usable,
                     )
                 parts.append(part)
-            out = attach(out, parts, sub_base + misc * misc_unit + leaves * leaf_unit, room)
+            out = attach(out, parts, sub_base + misc * misc_unit, misc, room)
         return out
 
     all_features = (1 << n_features) - 1
@@ -642,21 +642,21 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
 
 # Algebras.  zero() is the profile of no trees and leaf(misc) that of the
 # lone leaf; room(depth) is what a split at `depth` leaves its children;
-# units is what one (split, misclassified test row, leaf, path test) adds to
-# a key, 0 for a field not tracked, so the caller sums a split's key `base`
-# itself; attach(out, parts, base, room) adds to `out` the trees of one
-# split with key `base` whose open children have the profiles `parts` (empty
-# when every child is a closed leaf), never mutating a part; tables(profile)
-# gives the summary's buckets and path bins.  Three algebras:
-# `_CountAlgebra` counts trees exactly in Python ints within its split cap,
-# and its mul(a, b, room, out=None, base=0) adds the product of independent
-# children, keys raised by `base`, into `out` (a new dict when None) and
-# returns it, never mutating `a` or `b`; `_TotalsAlgebra` serves only a test
-# set with no histogram at all, so its keys hold the split count alone, and
-# sums the misclassified weight in (trees, correct, misclassified) values,
-# taking it from the misc field of `base`;
-# `_MinSizeAlgebra` is min-plus, ignores the room and needs no mul.  A
-# profile is cut by depth: a subproblem at depth d (d features used on its
+# units is what one (split, misclassified test row, path test) adds to a
+# key, 0 for a field not in the key, so the caller sums a split's key `base`
+# itself; attach(out, parts, base, misc, room) adds to `out` the trees of
+# one split with key `base` and closed leaves misclassifying `misc` test
+# rows, whose open children have the profiles `parts` (empty when every
+# child is a closed leaf), never mutating a part; tables(profile) gives the
+# summary's buckets and path bins.  Three algebras: `_CountAlgebra` counts
+# trees exactly in Python ints within its split cap, keeping `misc` in the
+# key, and its mul(a, b, room, out=None, base=0) adds the product of
+# independent children, keys raised by `base`, into `out` (a new dict when
+# None) and returns it, never mutating `a` or `b`; `_TotalsAlgebra` serves
+# only a test set with no histogram at all, so its key is the split count
+# alone, it sums `misc` into (trees, correct, misclassified) values, and its
+# mul(a, b, room) returns a new dict; `_MinSizeAlgebra` is min-plus, ignores
+# the room and needs no mul.  A profile is cut by depth: a subproblem at depth d (d features used on its
 # path) sits under d splits, so its trees keep at most cap - d splits and
 # the children of its split at most cap - d - 1 together.  The memo key
 # fixes d, the number of features not in `usable`, so the cut profile it
@@ -669,10 +669,9 @@ class _CountAlgebra:
     """Exact tree counts keyed on a packed int: a dict key -> tree count.
 
     A key packs disjoint bit fields, from the top down: splits,
-    misclassified test weight, then leaf count and path-test total, each of
-    the last two only when tracked.  Below the splits every field is wide
-    enough for any tree within the cap: misc <= test weight, leaves <=
-    (cap+1) * max arity, path tests <= (cap+1) * population size.  So
+    misclassified test weight, then the path-test total only when tracked.
+    Below the splits every field is wide enough for any tree within the
+    cap: misc <= test weight, path tests <= (cap+1) * population size.  So
     adding the keys of parts of a tree within the cap never carries from
     one field into the next, and a key of more splits than the cap stays
     at or above (cap+1) << split_shift whatever carries below; "within
@@ -680,44 +679,27 @@ class _CountAlgebra:
     """
 
     def __init__(
-        self,
-        cap: int,
-        test_weight: int,
-        max_arity: int,
-        track: TrackOptions,
-        error_hist: bool,
-        npop: int | None,
+        self, cap: int, test_weight: int, error_hist: bool, path_bins: float | None, npop: int | None
     ):
         self.error_hist = error_hist
-        self.use_leaves = track.leaf_hist
-        self.use_path = track.path_bins is not None
-        self.width = track.path_bins
+        self.use_path = path_bins is not None
+        self.width = path_bins
         self.npop = npop
-        path_bits = ((cap + 1) * npop).bit_length() if self.use_path else 0
-        leaf_bits = ((cap + 1) * max_arity).bit_length() if self.use_leaves else 0
-        self.leaf_shift = path_bits
-        self.misc_shift = path_bits + leaf_bits
+        self.misc_shift = ((cap + 1) * npop).bit_length() if self.use_path else 0
         self.split_shift = self.misc_shift + test_weight.bit_length()
-        self.path_mask = (1 << path_bits) - 1
-        self.leaf_mask = (1 << leaf_bits) - 1
+        self.path_mask = (1 << self.misc_shift) - 1  # the path field is all below misc
         self.misc_mask = (1 << test_weight.bit_length()) - 1
         self.cap = cap
-        leaf_unit = 1 << self.leaf_shift if self.use_leaves else 0
-        self.units = (1 << self.split_shift, 1 << self.misc_shift, leaf_unit, int(self.use_path))
+        self.units = (1 << self.split_shift, 1 << self.misc_shift, int(self.use_path))
 
-    def key(self, splits: int, misc: int, leaves: int, path: int) -> int:
-        key = (splits << self.split_shift) + (misc << self.misc_shift)
-        if self.use_leaves:
-            key += leaves << self.leaf_shift
-        if self.use_path:
-            key += path
-        return key
+    def key(self, splits: int, misc: int, path: int) -> int:
+        return (splits << self.split_shift) + (misc << self.misc_shift) + path * self.units[2]
 
     def zero(self) -> dict[int, int]:
         return {}
 
     def leaf(self, misc: int) -> dict[int, int]:
-        return {self.key(0, misc, 1, 0): 1}
+        return {self.key(0, misc, 0): 1}
 
     def room(self, depth: int) -> int:
         """Keys below this fit the children of a split at `depth`: they may
@@ -746,7 +728,7 @@ class _CountAlgebra:
                 out[k] = get(k, 0) + c1 * c2
         return out
 
-    def attach(self, out, parts, base, room) -> dict[int, int]:
+    def attach(self, out, parts, base, misc, room) -> dict[int, int]:
         if not parts:
             if room > 0:  # the budget admits this one split
                 out[base] = out.get(base, 0) + 1
@@ -769,7 +751,6 @@ class _CountAlgebra:
         buckets: dict[int, CardinalityBucket] = {}
         bins: dict[int, list[int]] | None = {} if self.width is not None else None
         split_shift, misc_shift, misc_mask = self.split_shift, self.misc_shift, self.misc_mask
-        use_leaves, leaf_shift, leaf_mask = self.use_leaves, self.leaf_shift, self.leaf_mask
         use_path, path_mask, npop, width = self.use_path, self.path_mask, self.npop, self.width
         b = None
         end = 0  # the first key past the current bucket
@@ -782,10 +763,9 @@ class _CountAlgebra:
                 end = (c + 1) << split_shift
                 b = buckets[c] = CardinalityBucket(
                     error_hist={} if self.error_hist else None,
-                    leaf_hist={} if use_leaves else None,
                     path_tests_total=0 if use_path else None,
                 )
-                hist, leaf_hist = b.error_hist, b.leaf_hist
+                hist = b.error_hist
                 trees = correct = wrong = 0
             misc = (k >> misc_shift) & misc_mask
             trees += cnt
@@ -795,9 +775,6 @@ class _CountAlgebra:
                 correct += cnt
             if hist is not None:
                 hist[misc] = hist.get(misc, 0) + cnt
-            if use_leaves:
-                leaves = (k >> leaf_shift) & leaf_mask
-                leaf_hist[leaves] = leaf_hist.get(leaves, 0) + cnt
             if use_path:
                 path = k & path_mask
                 b.path_tests_total += path * cnt
@@ -810,48 +787,51 @@ class _CountAlgebra:
         return buckets, bins
 
 
-class _TotalsAlgebra(_CountAlgebra):
-    """A dict key -> (trees, correct, misclassified): the expectation
+class _TotalsAlgebra:
+    """A dict splits -> (trees, correct, misclassified): the expectation
     semiring (Li & Eisner, EMNLP 2009) with the error-free count alongside.
 
-    Only a test set with no error, leaf or path histogram runs it, so its
-    keys hold the split count alone (misc is always 0).  Children multiply
-    as (c1 c2, z1 z2, m1 c2 + c1 m2).  `mul` and `attach` take the closed
-    leaves' misclassified weight out of the misc field of `base`; nonzero,
-    it zeroes `correct` and adds that weight times `trees`.
+    Only a test set with no error histogram and no path bins runs it, so
+    its key is the split count alone.  Children multiply as (c1 c2, z1 z2,
+    m1 c2 + c1 m2); `attach` multiplies a split's open children first, then
+    adds the closed leaves' misclassified weight `misc` as it is: nonzero,
+    it zeroes `correct` and adds `misc` times `trees`.
     """
 
-    def leaf(self, misc: int) -> dict[int, tuple[int, int, int]]:
-        return {self.key(0, 0, 1, 0): (1, int(not misc), misc)}
+    units = (1, 0, 0)
 
-    def mul(self, a, b, room, out=None, base=0):
-        misc = (base >> self.misc_shift) & self.misc_mask
-        base -= misc << self.misc_shift
-        if out is None:
-            out = {}
+    def __init__(self, cap: int):
+        self.cap = cap
+
+    def zero(self) -> dict[int, tuple[int, int, int]]:
+        return {}
+
+    def leaf(self, misc: int) -> dict[int, tuple[int, int, int]]:
+        return {0: (1, int(not misc), misc)}
+
+    def room(self, depth: int) -> int:
+        return self.cap - depth
+
+    def mul(self, a, b, room):
+        out = {}
         get = out.get
         items = sorted(b.items())
         for k1, (c1, z1, m1) in a.items():
             left = room - k1
-            k1 += base
             for k2, (c2, z2, m2) in items:
                 if k2 >= left:
                     break
                 k = k1 + k2
-                c = c1 * c2
-                z = 0 if misc else z1 * z2
-                m = m1 * c2 + c1 * m2 + misc * c
-                o = get(k, (0, 0, 0))
-                out[k] = (o[0] + c, o[1] + z, o[2] + m)
+                c, z, m = get(k, (0, 0, 0))
+                out[k] = (c + c1 * c2, z + z1 * z2, m + m1 * c2 + c1 * m2)
         return out
 
-    def attach(self, out, parts, base, room):
-        if len(parts) > 1:
-            return super().attach(out, parts, base, room)
-        misc = (base >> self.misc_shift) & self.misc_mask
-        base -= misc << self.misc_shift
+    def attach(self, out, parts, base, misc, room):
+        acc = parts[0] if parts else {0: (1, 1, 0)}
+        for part in parts[1:]:
+            acc = self.mul(acc, part, room)
         get = out.get
-        for k, (c, z, m) in parts[0].items() if parts else [(0, (1, 1, 0))]:
+        for k, (c, z, m) in acc.items():
             if k < room:
                 k += base
                 o = get(k, (0, 0, 0))
@@ -859,8 +839,7 @@ class _TotalsAlgebra(_CountAlgebra):
         return out
 
     def tables(self, profile):
-        shift = self.split_shift
-        return {k >> shift: CardinalityBucket(*profile[k]) for k in sorted(profile)}, None
+        return {k: CardinalityBucket(*profile[k]) for k in sorted(profile)}, None
 
 
 class _MinSizeAlgebra:
@@ -870,7 +849,7 @@ class _MinSizeAlgebra:
     over all trees do, so the caller compares the one result with its cap.
     """
 
-    units = (0, 0, 0, 0)
+    units = (0, 0, 0)
 
     def zero(self):
         return math.inf
@@ -881,7 +860,7 @@ class _MinSizeAlgebra:
     def room(self, depth: int) -> None:
         return None
 
-    def attach(self, out, parts, base, room):
+    def attach(self, out, parts, base, misc, room):
         return min(out, 1 + sum(parts))
 
 

@@ -186,6 +186,7 @@ def test_usage_errors_exit_2():
         (["experiment", "--preset", "fig15", "--data", "NOT_UTF8"], EXIT_DATA),
         (["policy", "--records", "NOT_UTF8"], EXIT_DATA),
         (["policy", "--records", "NEGATIVE_COUNT"], EXIT_DATA),
+        (["policy", "--records", "LEAF_HIST"], EXIT_DATA),
     ],
 )
 def test_bad_integers_and_empty_data_exit_without_a_traceback(tmp_path, capsys, argv, want):
@@ -195,10 +196,13 @@ def test_bad_integers_and_empty_data_exit_without_a_traceback(tmp_path, capsys, 
     not_utf8.write_bytes("a=0|1,class=n|y\n0,n\n1,\u00e9\n".encode("latin-1"))
     negative = tmp_path / "records.jsonl"
     negative.write_text('{"buckets": {"2": {"tree_count": -5}}}\n', encoding="utf-8")
+    leaves = tmp_path / "leaves.jsonl"
+    leaves.write_text('{"buckets": {"2": {"leaf_hist": {"3": 1}}}}\n', encoding="utf-8")
     files = {
         "HEADER_ONLY": str(header_only),
         "NOT_UTF8": str(not_utf8),
         "NEGATIVE_COUNT": str(negative),
+        "LEAF_HIST": str(leaves),
     }
     argv = [files.get(a, a) for a in argv]
     if argv[0] == "experiment":

@@ -404,7 +404,7 @@ def test_chart_labels_escape_markup_characters_only(tmp_path):
 
 
 def test_trial_records_round_trip(tmp_path):
-    cfg = small_config(analyses=("cardinality",), leaf_hist=True, path_bin_width=0.5)
+    cfg = small_config(analyses=("cardinality",), path_bin_width=0.5)
     res = run_trials(cfg)
     out = tmp_path / "run"
     emit_all(cfg, res, str(out))
@@ -489,6 +489,19 @@ def test_trial_records_loader_refuses_negative_counts(tmp_path, record_row, fiel
     edited = _with_bucket_field(record_row, field, value)
     p.write_text(json.dumps(record_row) + "\n" + json.dumps(edited) + "\n", encoding="utf-8")
     with pytest.raises(ExperimentError, match=f"line 2: negative count {shown}$"):
+        load_trial_records(str(p))
+
+
+def test_leaf_histograms_are_not_tracked(tmp_path, record_row):
+    # the field stays for the benchmark harness, which passes it False;
+    # every dumped bucket holds null there, and only null loads
+    with pytest.raises(ExperimentError, match="^leaf histograms are not tracked$"):
+        small_config(leaf_hist=True)
+    assert all(b["leaf_hist"] is None for b in record_row["buckets"].values())
+    p = tmp_path / "edited.jsonl"
+    edited = _with_bucket_field(record_row, "leaf_hist", {"3": 1})
+    p.write_text(json.dumps(record_row) + "\n" + json.dumps(edited) + "\n", encoding="utf-8")
+    with pytest.raises(ExperimentError, match="line 2: leaf histograms are not tracked"):
         load_trial_records(str(p))
 
 

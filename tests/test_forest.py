@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import itertools
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -28,7 +29,6 @@ from forestscope import (
     instance_space,
     is_consistent,
     iter_consistent,
-    leaf_count,
     metrics,
     min_consistent_size,
     node_count,
@@ -140,11 +140,13 @@ def test_parity_closed_form_holds_past_64_bits_on_both_algebras(monkeypatch, n, 
     assert seen == [forest._CountAlgebra, forest._TotalsAlgebra]
 
 
-def test_mixed_arity_parity_forest_matches_its_closed_form():
+def test_mixed_arity_parity_forest_matches_its_closed_form(monkeypatch):
     # the full space over arities (2, 3, 4, 2, 3), labelled by the sum of
     # its values mod 2: a subproblem with a feature left is impure and no
     # branch is empty, so every consistent tree is complete, and its size
     # profile is G_S(x) = sum over f in S of x G_{S-f}(x)^(arity f)
+    import forestscope.forest as forest
+
     arities = (2, 3, 4, 2, 3)
     schema = FeatureSchema(
         tuple((f"m{f}", tuple(f"v{v}" for v in range(a))) for f, a in enumerate(arities)),
@@ -178,6 +180,25 @@ def test_mixed_arity_parity_forest_matches_its_closed_form():
     assert summary.total_trees == 7_597_837_243_219_968
     assert (len(want), summary.min_size, summary.max_size) == (71, 55, 125)
 
+    # capped: the depth cut keeps G_S's coefficients up to degree cap, on the
+    # counting algebra without a test set and on the totals algebra with the
+    # full space as its own test set, where every tree errs nowhere
+    seen = []
+    solve = forest._solve
+    monkeypatch.setattr(forest, "_solve", lambda alg, *a: seen.append(type(alg)) or solve(alg, *a))
+    totals = []
+    for cap in (54, 55, 56, 90, 124):
+        cut = {c: n for c, n in want.items() if c <= cap}
+        for test in (None, data):
+            capped = forest_summary(data, test, EnumerationLimits(cap), track=TrackOptions(False))
+            assert {c: b.tree_count for c, b in capped.buckets.items()} == cut
+            for b in capped.buckets.values():
+                assert (b.correct_count, b.misclassified_total) == (b.tree_count, 0)
+        assert seen == [forest._CountAlgebra, forest._TotalsAlgebra]
+        seen.clear()
+        totals.append(sum(cut.values()))
+    assert totals == [0, 32, 448, 1_427_630_577_392, 7_596_737_731_592_192]
+
 
 def _walk_closed_early(train, limits):
     walk = iter_consistent(train, limits)
@@ -199,11 +220,11 @@ class _InterruptedAlgebra(_MinSizeAlgebra):
 
     left = 100
 
-    def attach(self, out, parts, base, room):
+    def attach(self, out, parts, base, misc, room):
         self.left -= 1
         if not self.left:
             raise RecursionError
-        return super().attach(out, parts, base, room)
+        return super().attach(out, parts, base, misc, room)
 
 
 def _solve_interrupted(train):
@@ -321,6 +342,13 @@ def test_max_nodes_cap_is_respected():
     assert summary.buckets and max(summary.buckets) <= 8
 
 
+def test_leaf_histograms_are_not_tracked():
+    # the option stays for the benchmark harness, which passes it False
+    with pytest.raises(ValueError, match="^leaf histograms are not tracked$"):
+        TrackOptions(leaf_hist=True)
+    assert TrackOptions(leaf_hist=False) == TrackOptions()
+
+
 def test_min_consistent_size_honors_cap(xor2):
     assert min_consistent_size(xor2) == 3
     assert min_consistent_size(xor2, max_nodes=2) is None
@@ -333,7 +361,7 @@ def test_summary_helpers_match_direct_measurement():
     pop = list(instance_space(data.schema))
     summary = forest_summary(
         train, test, lim, population=pop,
-        track=TrackOptions(error_hist=True, leaf_hist=True, path_bins=0.25),
+        track=TrackOptions(error_hist=True, path_bins=0.25),
     )
     trees = list(iter_consistent(train, lim))
     assert summary.total_trees == len(trees)
@@ -350,10 +378,6 @@ def test_summary_helpers_match_direct_measurement():
             round(m.error_rate * len(test.examples)) for m in ms
         )
         assert bucket.correct_count == sum(1 for m in ms if m.error_rate == 0.0)
-        leaf_hist = {}
-        for m in ms:
-            leaf_hist[m.leaf_cardinality] = leaf_hist.get(m.leaf_cardinality, 0) + 1
-        assert bucket.leaf_hist == leaf_hist
 
 
 @pytest.mark.property_based
@@ -377,7 +401,7 @@ def test_stream_and_algebraic_buckets_agree(seed):
     r = SplitMix64(seed)
     train, test = split_disjoint(data, 14 + r.below(8), r)
     lim = EnumerationLimits(max_nodes=8)
-    track = TrackOptions(error_hist=True, leaf_hist=True)
+    track = TrackOptions(error_hist=True)
     a = forest_summary(train, test, lim, mode="stream", track=track)
     b = forest_summary(train, test, lim, mode="algebraic", track=track)
     assert a == b
@@ -395,7 +419,7 @@ def test_stream_and_algebraic_path_bins_agree(seed, width, duplicated):
         # repeated instances weigh into path totals and the bin denominator
         pop += [pop[r.below(len(pop))] for _ in range(1 + r.below(8))]
     lim = EnumerationLimits(max_nodes=7)
-    track = TrackOptions(error_hist=True, leaf_hist=True, path_bins=width)
+    track = TrackOptions(error_hist=True, path_bins=width)
     a = forest_summary(train, test, lim, pop, track, mode="stream")
     b = forest_summary(train, test, lim, pop, track, mode="algebraic")
     assert a == b
@@ -420,14 +444,14 @@ def test_empty_test_set_gives_the_same_summary_on_both_routes():
 
 
 @pytest.mark.property_based
-@pytest.mark.parametrize("leaves,paths", [(False, False), (True, False), (False, True), (True, True)])
+@pytest.mark.parametrize("paths", [False, True])
 @given(st.integers(0, 2**32), st.booleans())
 @settings(max_examples=50, deadline=None)
-def test_error_totals_equal_the_histogram_summary_without_its_histograms(leaves, paths, seed, mux):
+def test_error_totals_equal_the_histogram_summary_without_its_histograms(paths, seed, mux):
     # fig8-shaped draws (31 train and 1000 test rows drawn with replacement,
     # here capped) and mux6 draws; error_hist off runs the totals algebra
-    # when leaves and paths are off too, and otherwise the counting algebra
-    # without a histogram, held here to the counting algebra with one
+    # when paths are off too, and otherwise the counting algebra without a
+    # histogram, held here to the counting algebra with one
     r = SplitMix64(seed)
     if mux:
         data = apply_concept(get_concept("mux6"))
@@ -442,8 +466,8 @@ def test_error_totals_equal_the_histogram_summary_without_its_histograms(leaves,
     pop = [space[r.below(len(space))] for _ in range(40)] if paths else None
     lim = EnumerationLimits(max_nodes=cap)
     width = 0.25 if paths else None
-    sums = forest_summary(train, test, lim, pop, TrackOptions(False, leaves, width))
-    hist = forest_summary(train, test, lim, pop, TrackOptions(True, leaves, width))
+    sums = forest_summary(train, test, lim, pop, TrackOptions(False, path_bins=width))
+    hist = forest_summary(train, test, lim, pop, TrackOptions(True, path_bins=width))
     assert sums == replace(
         hist, buckets={c: replace(b, error_hist=None) for c, b in hist.buckets.items()}
     )
@@ -487,10 +511,10 @@ def test_each_request_runs_the_algebra_built_for_it(monkeypatch):
     train, test = split_disjoint(data, 20, SplitMix64(3))
     pop = list(instance_space(data.schema))
     lim = EnumerationLimits(max_nodes=6)
-    for with_test, errors, leaves, paths in itertools.product((True, False), repeat=4):
-        track = TrackOptions(errors, leaves, 0.25 if paths else None)
+    for with_test, errors, paths in itertools.product((True, False), repeat=3):
+        track = TrackOptions(errors, path_bins=0.25 if paths else None)
         forest_summary(train, test if with_test else None, lim, pop, track)
-        totals = with_test and not (errors or leaves or paths)
+        totals = with_test and not (errors or paths)
         assert seen.pop() is (forest._TotalsAlgebra if totals else forest._CountAlgebra)
     assert not seen
 
@@ -600,7 +624,7 @@ def test_relabeling_the_values_of_a_three_valued_feature_leaves_buckets_alone(
 ):
     # the values of lenses' `age` permuted in the train set, the test set
     # and the population: each tree maps to one with its children reordered,
-    # of the same size, leaves, errors and path tests
+    # of the same size, errors and path tests
     data = bundled_dataset("lenses")
     age = data.schema.feature_index("age")
     r = SplitMix64(seed)
@@ -620,7 +644,7 @@ def test_relabeling_the_values_of_a_three_valued_feature_leaves_buckets_alone(
 
     pop = list(instance_space(data.schema))
     lim = EnumerationLimits(max_nodes=cap)
-    track = TrackOptions(leaf_hist=True, path_bins=0.25)
+    track = TrackOptions(path_bins=0.25)
     base = forest_summary(train, test, lim, pop, track)
     moved_pop = [moved(x) for x in pop]
     assert base == forest_summary(relabel(train), relabel(test), lim, moved_pop, track)
@@ -695,16 +719,19 @@ def test_int64_profiles_stay_exact_past_two_to_the_62():
     train = Dataset(schema, tuple(LabeledExample(x, r.below(2)) for x in rows))
     test = Dataset(schema, tuple(LabeledExample(x, r.below(2)) for x in space[:16]))
     lim = EnumerationLimits(max_trees=0)
-    exact = forest_summary(train, test, lim, track=TrackOptions(leaf_hist=True))
     hist = forest_summary(train, test, lim)
     sums = forest_summary(train, test, lim, track=TrackOptions(error_hist=False))
-    assert max(b.tree_count for b in exact.buckets.values()) > 2**62
-    assert hist.buckets.keys() == sums.buckets.keys() == exact.buckets.keys()
-    for c, b in exact.buckets.items():
-        want = (b.tree_count, b.correct_count, b.misclassified_total)
-        h, s = hist.buckets[c], sums.buckets[c]
-        assert (h.tree_count, h.correct_count, h.misclassified_total) == want
-        assert h.error_hist == b.error_hist
+    assert max(b.tree_count for b in hist.buckets.values()) > 2**62
+    assert hist.buckets.keys() == sums.buckets.keys()
+    for c, h in hist.buckets.items():
+        want = (h.tree_count, h.correct_count, h.misclassified_total)
+        # the histogram's own totals, then the totals algebra's
+        assert want == (
+            sum(h.error_hist.values()),
+            h.error_hist.get(0, 0),
+            sum(e * n for e, n in h.error_hist.items()),
+        )
+        s = sums.buckets[c]
         assert (s.tree_count, s.correct_count, s.misclassified_total) == want
 
 
@@ -733,8 +760,8 @@ def test_min_consistent_size_matches_the_naive_oracle(seed, cap):
 _LENSES_TRACKS = {
     "hist": TrackOptions(),
     "sums": TrackOptions(error_hist=False),
-    "leaves-paths": TrackOptions(leaf_hist=True, path_bins=0.25),
-    "sums-leaves-paths": TrackOptions(error_hist=False, leaf_hist=True, path_bins=0.25),
+    "paths": TrackOptions(path_bins=0.25),
+    "sums-paths": TrackOptions(error_hist=False, path_bins=0.25),
 }
 
 
@@ -747,7 +774,7 @@ _LENSES_TRACKS = {
 )
 @settings(max_examples=400, deadline=None)
 def test_stream_and_algebraic_agree_on_lenses(seed, with_replacement, cap, tracking):
-    # a 3-valued feature (empty branches, wider leaf counts), 3 classes, and
+    # a 3-valued feature (empty branches), 3 classes, and
     # with-replacement draws whose duplicate rows weigh on every count
     data = bundled_dataset("lenses")
     r = SplitMix64(seed)
@@ -781,7 +808,7 @@ def test_repeated_rows_weigh_exactly_on_the_algebraic_route(seed, k, cap):
     test = sample_with_replacement(data, 1 + r.below(24), r)
     pop = list(instance_space(data.schema))
     lim = EnumerationLimits(max_nodes=cap)
-    track = TrackOptions(leaf_hist=True, path_bins=0.25)
+    track = TrackOptions(path_bins=0.25)
     base = forest_summary(train, test, lim, pop, track)
 
     train_k = Dataset(data.schema, tuple(_repeat(train.examples, k)))
@@ -830,13 +857,10 @@ def test_mixed_arity_forest_matches_the_naive_oracle(seed, cap):
     lim = EnumerationLimits(max_nodes=cap)
     naive = enumerate_naive(data, lim)
     assert canon(iter_consistent(data, lim), schema) == canon(naive, schema)
-    summary = forest_summary(data, None, lim, track=TrackOptions(leaf_hist=True))
+    summary = forest_summary(data, None, lim)
     assert summary.total_trees == len(naive)
-    leaf_hists: dict[int, dict[int, int]] = {}
-    for t in naive:
-        h = leaf_hists.setdefault(node_count(t), {})
-        h[leaf_count(t)] = h.get(leaf_count(t), 0) + 1
-    assert {c: b.leaf_hist for c, b in summary.buckets.items()} == leaf_hists
+    sizes = Counter(node_count(t) for t in naive)
+    assert {c: b.tree_count for c, b in summary.buckets.items()} == sizes
 
 
 @pytest.mark.property_based
@@ -852,9 +876,7 @@ def test_depth_cut_keeps_every_tree_on_mux6(seed, cap, path_bins):
     test = Dataset(data.schema, test.examples[:16])
     space = list(instance_space(data.schema))
     pop = [space[r.below(len(space))] for _ in range(24)] if path_bins else None
-    track = TrackOptions(
-        error_hist=True, leaf_hist=True, path_bins=0.5 if path_bins else None
-    )
+    track = TrackOptions(error_hist=True, path_bins=0.5 if path_bins else None)
     lim = EnumerationLimits(max_nodes=cap)
     a = forest_summary(train, test, lim, pop, track, mode="stream")
     b = forest_summary(train, test, lim, pop, track, mode="algebraic")
@@ -862,29 +884,26 @@ def test_depth_cut_keeps_every_tree_on_mux6(seed, cap, path_bins):
 
 
 def _trees(cap, r):
-    # 0..7 trees (splits, misc, leaves) within the cap, each 1..3 times;
-    # misc <= 1 and leaves <= splits + 1, so sums of three parts (and the
-    # attached split's misc 1) fit the test weight 4 and, within the room,
-    # the leaf field without carrying
+    # 0..7 trees (splits, misc) within the cap, each 1..3 times; misc <= 1,
+    # so sums of three parts and the attached split's misc 1 fit the test
+    # weight 4 without carrying
     out = []
     for _ in range(r.below(8)):
-        splits = r.below(cap + 1)
-        out += [(splits, r.below(2), 1 + r.below(splits + 1))] * (1 + r.below(3))
+        out += [(r.below(cap + 1), r.below(2))] * (1 + r.below(3))
     return out
 
 
 def _as_profile(alg, trees):
-    # the profile, in `alg`, of these (splits, misc, leaves) trees
+    # the profile, in `alg`, of these (splits, misc) trees
     from forestscope.forest import _TotalsAlgebra
 
     out = {}
-    for splits, misc, leaves in trees:
+    for splits, misc in trees:
         if isinstance(alg, _TotalsAlgebra):
-            k = alg.key(splits, 0, leaves, 0)
-            c, z, m = out.get(k, (0, 0, 0))
-            out[k] = (c + 1, z + (misc == 0), m + misc)
+            c, z, m = out.get(splits, (0, 0, 0))
+            out[splits] = (c + 1, z + (misc == 0), m + misc)
         else:
-            k = alg.key(splits, misc, leaves, 0)
+            k = alg.key(splits, misc, 0)
             out[k] = out.get(k, 0) + 1
     return out
 
@@ -909,27 +928,30 @@ def test_count_algebra_keeps_keys_within_the_room(seed, cap):
 
     r = SplitMix64(seed)
     trees = [_trees(cap, r) for _ in range(3)]
-    split = (1, r.below(2), 2)
-    old = [split] * 7 + [(cap, 0, 1)] * 3
-    for algebra in (_CountAlgebra, _TotalsAlgebra):
-        alg = algebra(cap, 4, 2, TrackOptions(leaf_hist=True), algebra is _CountAlgebra, None)
+    split = (1, r.below(2))
+    old = [split] * 7 + [(cap, 0)] * 3
+    count = _CountAlgebra(cap, 4, True, None, None)
+    for alg in (count, _TotalsAlgebra(cap)):
         parts = [_as_profile(alg, t) for t in trees]
         before = [dict(p) for p in parts]
-        base = alg.key(*split, 0)
+        # the totals algebra takes the split's misc beside its key
+        split_unit, misc_unit, _ = alg.units
+        base = split_unit + split[1] * misc_unit
         for depth in range(cap + 3):
             room = alg.room(depth)
-            assert room == (cap - depth) << alg.split_shift
+            assert room == (cap - depth) * split_unit
 
             got = alg.mul(parts[0], parts[1], room)
-            assert got == _as_profile(alg, _product(trees[:2], cap - depth, (0, 0, 0)))
-            into = _as_profile(alg, old)
-            got = alg.mul(parts[0], parts[1], room, into, base)
-            assert got is into
-            assert got == _as_profile(alg, old + _product(trees[:2], cap - depth, split))
+            assert got == _as_profile(alg, _product(trees[:2], cap - depth, (0, 0)))
+            if alg is count:  # only the counting algebra multiplies into a profile
+                into = _as_profile(alg, old)
+                got = alg.mul(parts[0], parts[1], room, into, base)
+                assert got is into
+                assert got == _as_profile(alg, old + _product(trees[:2], cap - depth, split))
 
             for n in range(4):
                 added = _product(trees[:n], cap - depth, split)
-                got = alg.attach(_as_profile(alg, old), parts[:n], base, room)
+                got = alg.attach(_as_profile(alg, old), parts[:n], base, split[1], room)
                 assert got == _as_profile(alg, old + added)
                 assert all(t[0] <= cap - depth for t in added)
                 if room <= 0:
@@ -938,40 +960,30 @@ def test_count_algebra_keeps_keys_within_the_room(seed, cap):
 
 
 @pytest.mark.property_based
-@pytest.mark.parametrize(
-    "track",
-    [
-        TrackOptions(),
-        TrackOptions(leaf_hist=True),
-        TrackOptions(path_bins=0.5),
-        TrackOptions(leaf_hist=True, path_bins=0.5),
-    ],
-)
+@pytest.mark.parametrize("track", [TrackOptions(), TrackOptions(path_bins=0.5)])
 @given(st.integers(0, 2**32))
 @settings(max_examples=100, deadline=None)
 def test_field_units_build_the_keys_that_key_defines(track, seed):
     from forestscope.forest import _CountAlgebra, _MinSizeAlgebra, _TotalsAlgebra
 
     r = SplitMix64(seed)
-    cap, test_weight, max_arity, npop = r.below(9), r.below(40), 2 + r.below(3), 1 + r.below(50)
-    for algebra in (_CountAlgebra, _TotalsAlgebra):
-        alg = algebra(cap, test_weight, max_arity, track, algebra is _CountAlgebra, npop)
-        split_unit, misc_unit, leaf_unit, path_unit = alg.units
-        for _ in range(20):
-            splits = r.below(cap + 2)
-            misc = r.below(test_weight + 1)
-            leaves = r.below((cap + 1) * max_arity + 1)
-            path = r.below((cap + 1) * npop + 1)
-            by_units = splits * split_unit + misc * misc_unit + leaves * leaf_unit + path * path_unit
-            assert by_units == alg.key(splits, misc, leaves, path)
-            # a split of closed leaves only: the misc summed into its key is
-            # the tree's error, kept in the key or folded into the totals
-            if algebra is _CountAlgebra:
-                want = {by_units: 1}
-            else:
-                want = {alg.key(splits, 0, leaves, path): (1, int(not misc), misc)}
-            assert alg.attach({}, [], by_units, 1) == want
-    assert _MinSizeAlgebra().units == (0, 0, 0, 0)
+    cap, test_weight, npop = r.below(9), r.below(40), 1 + r.below(50)
+    count = _CountAlgebra(cap, test_weight, True, track.path_bins, npop)
+    totals = _TotalsAlgebra(cap)
+    for _ in range(20):
+        splits = r.below(cap + 2)
+        misc = r.below(test_weight + 1)
+        path = r.below((cap + 1) * npop + 1)
+        # the totals algebra's key is the split count alone
+        for alg, key in ((count, count.key(splits, misc, path)), (totals, splits)):
+            split_unit, misc_unit, path_unit = alg.units
+            assert splits * split_unit + misc * misc_unit + path * path_unit == key
+        # a split of closed leaves only: the misc summed into its key is
+        # the tree's error, kept in the key or folded into the totals
+        key = count.key(splits, misc, path)
+        assert count.attach({}, [], key, misc, 1) == {key: 1}
+        assert totals.attach({}, [], splits, misc, 1) == {splits: (1, int(not misc), misc)}
+    assert _MinSizeAlgebra().units == (0, 0, 0)
 
 
 def test_population_routers_are_kept_apart_by_population_and_schema():
@@ -995,7 +1007,7 @@ def test_population_routers_are_kept_apart_by_population_and_schema():
         own = [space[r.below(len(space))] for _ in range(9)]
         cases += [(train, test, shared), (train, test, own)]
     lim = EnumerationLimits(max_nodes=5)
-    track = TrackOptions(leaf_hist=True, path_bins=0.25)
+    track = TrackOptions(path_bins=0.25)
     want = [forest_summary(*case[:2], lim, case[2], track, mode="stream") for case in cases]
     assert all(w.total_trees for w in want) and want[0] != want[1] and want[2] != want[3]
     for _ in range(2):
@@ -1026,7 +1038,7 @@ def test_splits_with_three_open_children_agree_across_routes(seed, cap):
     train = _three_way_rows(schema, r, [(v, w, 0) for v in range(3) for w in range(2)])
     test = _three_way_rows(schema, r, [])
     limits = EnumerationLimits(max_nodes=cap)
-    track = TrackOptions(error_hist=True, leaf_hist=True)
+    track = TrackOptions(error_hist=True)
     stream = forest_summary(train, test, limits, track=track, mode="stream")
     assert stream == forest_summary(train, test, limits, track=track, mode="algebraic")
     assert stream.min_size is not None
