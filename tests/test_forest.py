@@ -960,7 +960,11 @@ def test_count_algebra_keeps_keys_within_the_room(seed, cap):
 
 
 @pytest.mark.property_based
-@pytest.mark.parametrize("track", [TrackOptions(), TrackOptions(path_bins=0.5)])
+# the ids are the ones these cases had while leaf-tracking cases filled
+# track1 and track3
+@pytest.mark.parametrize(
+    "track", [TrackOptions(), TrackOptions(path_bins=0.5)], ids=["track0", "track2"]
+)
 @given(st.integers(0, 2**32))
 @settings(max_examples=100, deadline=None)
 def test_field_units_build_the_keys_that_key_defines(track, seed):
