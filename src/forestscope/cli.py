@@ -216,13 +216,13 @@ def _cmd_experiment(args) -> int:
         return _fail(EXIT_CONFIG, "config", str(e))
 
     totals = {leg.label: leg.trial_count for leg in config.legs}
+    tags = {leg.label: experiments.leg_table_label(config, leg) for leg in config.legs}
     seen = {leg.label: 0 for leg in config.legs}
 
     def progress(label: str, record) -> None:
         seen[label] += 1
-        tag = f"{config.name}:{label}" if label else config.name
         print(
-            f"{tag} trial {seen[label]}/{totals[label]} "
+            f"{tags[label]} trial {seen[label]}/{totals[label]} "
             f"min={record.min_size} trees={record.summary.total_trees} "
             f"{record.wall_ms:.1f}ms",
             file=sys.stderr,

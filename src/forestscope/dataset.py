@@ -264,18 +264,9 @@ def get_concept(name: str) -> Concept:
         raise SchemaError(f"unknown concept {name!r}") from None
 
 
-def apply_concept(concept: Concept, schema: FeatureSchema | None = None) -> Dataset:
-    """Label the full instance space of `schema` with the concept.
-
-    The schema defaults to the concept's own; a different one must agree on
-    feature count and arities (names may differ).
-    """
-    if schema is None:
-        schema = concept.schema
-    elif schema.arities != concept.schema.arities:
-        raise SchemaError(
-            f"schema arities {schema.arities} do not match concept {concept.name!r}"
-        )
+def apply_concept(concept: Concept) -> Dataset:
+    """Label the full instance space of the concept's schema with the concept."""
+    schema = concept.schema
     examples = tuple(
         LabeledExample(instance=x, label=concept.fn(x)) for x in instance_space(schema)
     )

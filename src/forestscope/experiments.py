@@ -354,13 +354,9 @@ def emit_all(
             pair_runs.append(("all", None))
         if "pairwise_min" in config.analyses:
             pair_runs += [("min", k) for k in config.pairwise_conditions or (None,)]
-        if pair_runs:
-            # Each trial is packed once per leg, for every pairwise table.
-            packed = [stats._columns(t) for t in used]
-            for baseline, k in pair_runs:
-                chosen = stats._with_min_size_in(packed, None if k is None else (k,))
-                rows = stats._pairwise(chosen, baseline)
-                pair.append((key + (baseline, "" if k is None else str(k)), rows))
+        requests = [(baseline, None if k is None else (k,)) for baseline, k in pair_runs]
+        for (baseline, k), rows in zip(pair_runs, stats.pairwise_tables(used, requests)):
+            pair.append((key + (baseline, "" if k is None else str(k)), rows))
         if "policy" in config.analyses:
             policy.append((key, stats.derive_policy(used)))
         if "path_length" in config.analyses:

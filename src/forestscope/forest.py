@@ -42,9 +42,9 @@ Three routes to the same forest live here, on purpose:
   path-length bins included: a tree's path-test total is additive over its
   splits (each adds the population weight reaching it), so the key carries
   it and each distinct total is binned once.  The streaming mode drives
-  the search enumerator and measures each tree directly; it runs only when
-  asked for, as the oracle.  Tests hold the two modes and the oracle to
-  bucket-for-bucket agreement.
+  the search enumerator and measures each tree through `tree`; it runs
+  only when asked for, as the oracle.  Tests hold the two modes and the
+  oracle to bucket-for-bucket agreement.
 
 Budgets count splits.  `max_nodes=None` means no explicit cap, which is
 effectively (distinct training instances - 1): no consistent tree can use
@@ -419,12 +419,6 @@ class ForestSummary:
         present = [c for c, b in self.buckets.items() if b.tree_count]
         return max(present) if present else None
 
-    def mean_error(self, c: int) -> float:
-        b = self.buckets[c]
-        if not b.tree_count or not self.test_weight:
-            raise ValueError(f"no error data at cardinality {c}")
-        return b.misclassified_total / (b.tree_count * self.test_weight)
-
 
 def forest_summary(
     train: Dataset,
@@ -460,8 +454,16 @@ def forest_summary(
         if not population:
             raise ValueError("path population is empty")
     if mode == "stream":
-        return _summary_stream(train, test, limits, population, track)
-    return _summary_algebraic(train, test, limits, pop, track)
+        buckets, bins = _summary_stream(train, test, limits, population, track)
+    else:
+        buckets, bins = _summary_algebraic(train, test, limits, pop, track)
+    return ForestSummary(
+        buckets=buckets,
+        test_weight=len(test.examples) if test is not None else 0,
+        population_size=len(population) if population is not None else None,
+        path_bin_width=track.path_bins,
+        path_bins=bins,
+    )
 
 
 def _path_bin(total_tests: int, npop: int, width: float) -> int:
@@ -469,14 +471,11 @@ def _path_bin(total_tests: int, npop: int, width: float) -> int:
     return int((total_tests / npop) / width)
 
 
-def _summary_stream(train, test, limits, population, track) -> ForestSummary:
-    schema = train.schema
-    test_weight = len(test.examples) if test is not None else 0
+def _summary_stream(train, test, limits, population, track):
+    """(buckets, path bins) of every tree the search enumerator yields,
+    each tree measured by `tree`."""
     buckets: dict[int, CardinalityBucket] = {}
-    bins: dict[int, list[int]] | None = (
-        {} if track.path_bins is not None else None
-    )
-    npop = len(population) if population is not None else None
+    bins: dict[int, list[int]] | None = {} if track.path_bins is not None else None
     for t in iter_consistent(train, limits):
         c = treemod.node_count(t)
         b = buckets.get(c)
@@ -486,61 +485,37 @@ def _summary_stream(train, test, limits, population, track) -> ForestSummary:
                 path_tests_total=0 if bins is not None else None,
             )
         b.tree_count += 1
-        misc = 0
-        if test is not None:
-            misc = sum(
-                1 for ex in test.examples if treemod.classify(t, ex.instance) != ex.label
-            )
-            b.misclassified_total += misc
-            if misc == 0:
-                b.correct_count += 1
-            if b.error_hist is not None:
-                b.error_hist[misc] = b.error_hist.get(misc, 0) + 1
-        else:
+        misc = treemod.misclassified(t, test.examples) if test is not None else 0
+        b.misclassified_total += misc
+        if not misc:
             b.correct_count += 1
-        if b.path_tests_total is not None:
-            total_tests = 0
-            for inst in population:
-                n = t
-                while isinstance(n, Split):
-                    total_tests += 1
-                    n = n.children[inst[n.feature]]
+        if b.error_hist is not None:
+            b.error_hist[misc] = b.error_hist.get(misc, 0) + 1
+        if bins is not None:
+            total_tests = treemod.path_tests(t, population)
             b.path_tests_total += total_tests
-            if bins is not None:
-                slot = bins.setdefault(_path_bin(total_tests, npop, track.path_bins), [0, 0])
-                slot[0] += 1
-                slot[1] += misc
-    return ForestSummary(
-        buckets=buckets,
-        test_weight=test_weight,
-        population_size=npop,
-        path_bin_width=track.path_bins,
-        path_bins=bins,
-    )
+            k = _path_bin(total_tests, len(population), track.path_bins)
+            slot = bins.setdefault(k, [0, 0])
+            slot[0] += 1
+            slot[1] += misc
+    return buckets, bins
 
 
-def _summary_algebraic(train, test, limits, pop, track) -> ForestSummary:
+def _summary_algebraic(train, test, limits, pop, track):
+    """(buckets, path bins) of the forest, by one `_solve` pass."""
     tr = _Router(train)
     if tr.n == 0:
         raise ValueError("training set is empty")
     te = _Router(test if test is not None else Dataset(train.schema, ()))
     cap = _effective_cap(limits.max_nodes, tr.n)
-    test_weight = te.full.bit_count()
-    npop = pop.full.bit_count() if pop is not None else None
     use_path = track.path_bins is not None
     if test is not None and not (track.error_hist or use_path):
         alg = _TotalsAlgebra(cap)
     else:
         error_hist = track.error_hist and test is not None
-        alg = _CountAlgebra(cap, test_weight, error_hist, track.path_bins, npop)
-    buckets, bins = alg.tables(_solve(alg, tr, te, pop if use_path else None)[0])
-    return ForestSummary(
-        buckets=buckets,
-        test_weight=test_weight,
-        population_size=npop,
-        path_bin_width=track.path_bins,
-        path_bins=bins,
-    )
+        npop = pop.full.bit_count() if pop is not None else None
+        alg = _CountAlgebra(cap, te.full.bit_count(), error_hist, track.path_bins, npop)
+    return alg.tables(_solve(alg, tr, te, pop if use_path else None)[0])
 
 
 @lru_cache(maxsize=8)

@@ -14,8 +14,8 @@ mixtures explicitly.
 Pairwise tallies come from exact big-int products (see `pairwise`): each
 trial packs its trees into one int per error count, slot r holding the
 trees r sizes above its minimum, and a handful of multiplications tally
-every size gap at once.  `emit_all` packs each trial once per leg and
-shares the ints among its pairwise tables.
+every size gap at once.  `pairwise_tables` packs each trial once and
+shares the ints among several tables.
 
 Each emitted CSV table is laid out once, as a `Table`: its key columns
 (preset and seed, plus baseline and condition for pairwise), then row
@@ -281,22 +281,32 @@ def pairwise(
     read is exact; a negative count would borrow across slots, and is
     refused.  A trial counts toward gap g when it has a pair there.
     """
-    chosen = _with_min_size_in(trials, min_size_in)
-    return _pairwise([_columns(t) for t in chosen], baseline)
+    return pairwise_tables(trials, [(baseline, min_size_in)])[0]
 
 
-def _with_min_size_in(trials, min_size_in):
-    allowed = set(min_size_in) if min_size_in is not None else None
-    return [
-        t
-        for t in trials
-        if t.min_size is not None and (allowed is None or t.min_size in allowed)
-    ]
+def pairwise_tables(
+    trials: Sequence[TrialRecord],
+    requests: Sequence[tuple[str, Sequence[int] | None]],
+) -> list[list[PairwiseRow]]:
+    """`pairwise(trials, baseline, min_size_in)` for each (baseline,
+    min_size_in) request, in order.  Each trial is packed at most once, and
+    only when some request chooses it."""
+    packed: list[_Columns | None] = [None] * len(trials)
+    tables = []
+    for baseline, min_size_in in requests:
+        allowed = set(min_size_in) if min_size_in is not None else None
+        chosen = []
+        for i, t in enumerate(trials):
+            if t.min_size is not None and (allowed is None or t.min_size in allowed):
+                if packed[i] is None:
+                    packed[i] = _columns(t)
+                chosen.append(packed[i])
+        tables.append(_pairwise(chosen, baseline))
+    return tables
 
 
 def _pairwise(chosen: Sequence[_Columns], baseline: str) -> list[PairwiseRow]:
-    """`pairwise` over trials already chosen by `_with_min_size_in` and
-    turned into `_columns`."""
+    """`pairwise` over trials already chosen and packed by `pairwise_tables`."""
     if baseline not in ("all", "min"):
         raise ValueError(f"unknown baseline {baseline!r}")
     denoms = {t.n_test for t in chosen}

@@ -19,7 +19,7 @@ trees need a deterministic order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .dataset import Dataset, FeatureSchema, Instance, LabeledExample, SchemaError
 
@@ -116,19 +116,28 @@ def metrics(node: Node, path_population: Sequence[Instance], test_set: Dataset) 
         raise ValueError("path population is empty")
     if not test_set.examples:
         raise ValueError("test set is empty")
-    total_tests = 0
-    for inst in path_population:
-        n = node
-        while isinstance(n, Split):
-            total_tests += 1
-            n = n.children[inst[n.feature]]
-    wrong = sum(1 for ex in test_set.examples if classify(node, ex.instance) != ex.label)
     return TreeMetrics(
         node_cardinality=node_count(node),
         leaf_cardinality=leaf_count(node),
-        avg_path_length=total_tests / len(path_population),
-        error_rate=wrong / len(test_set.examples),
+        avg_path_length=path_tests(node, path_population) / len(path_population),
+        error_rate=misclassified(node, test_set.examples) / len(test_set.examples),
     )
+
+
+def path_tests(node: Node, population: Iterable[Instance]) -> int:
+    """Splits the population's instances pass on their way to a leaf, summed."""
+    total = 0
+    for inst in population:
+        n = node
+        while isinstance(n, Split):
+            total += 1
+            n = n.children[inst[n.feature]]
+    return total
+
+
+def misclassified(node: Node, examples: Iterable[LabeledExample]) -> int:
+    """Examples the tree labels wrongly."""
+    return sum(1 for ex in examples if classify(node, ex.instance) != ex.label)
 
 
 def is_consistent(node: Node, train: Dataset) -> bool:

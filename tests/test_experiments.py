@@ -67,6 +67,11 @@ _PINNED_DIGESTS = {
         "e7631c393706c3e3017f8f0931f44abff593137f3e34fd0db7a507eeed076ce6",
         "2b23bb99f5dac5440498c04d6c36835a5244917863c49545b7e25a673725c958",
     ),
+    # the one preset with unaccepted trials: 16 of its 100 at seed 9
+    "fig2": (
+        "16a84ea16a71cfbe7d65855fc3a37c0eaa324e53d7b5a8541e3d125fe79081f5",
+        "9fca139911c54f1fcf7b820defe2efc1bdb227ced6f4f7469313360e48260189",
+    ),
     "fig4": (
         "de4dcf639d9bae837a755d162c16c87a559f9d68468587579daea10abddf395f",
         "e2b4ba4eed13b4b5b6882f4a9d28a7f321c67e8785ed74bc8560b18651c586a9",
@@ -122,6 +127,8 @@ def test_preset_outputs_keep_their_bytes(tmp_path, name):
 # digests do not depend on the Python version's `statistics` either.
 _PINNED_CARDINALITY_DIGESTS = {
     "fig1": "4ea60d9be848fbac2bc90e80a689d5b75659f4e8d6bc32dee6ba0d84a8fa5b37",
+    "fig2": "43054de2ff3fb11247fd89f7d01e6796fb7c890e6ffd193517f5cea86b7a6737",
+    "fig3": "56e67d5ed537529175b9063e3eaae6737d6dd0a155dd2d09077e664a3321b672",  # :minM groups
     "fig8": "910e7dfec8cf1d18f0dc63bd7a47d3f34f42fa851ea4bc582740d789f2153cbd",
     "fig13": "2aa7d5ba50730757762d1680053e1124cd973a569caea4b9d885e7fad90d37ca",
 }

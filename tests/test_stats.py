@@ -5,6 +5,7 @@ import math
 import operator
 import statistics
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,9 @@ from forestscope import (
     derive_policy,
     group_by_min_size,
     pairwise,
+    stats,
 )
+from forestscope.stats import pairwise_tables
 
 
 def rec(trial_id, buckets, test_weight, path_bins=None, path_bin_width=None):
@@ -264,6 +267,37 @@ def test_pairwise_matches_brute_force_on_gapped_sizes(trials, baseline, min_size
         )
         for r in got
     } == brute_force_pairwise(trials, baseline, min_size_in)
+
+
+@pytest.mark.property_based
+@given(
+    trials=gapped_trials(),
+    conditions=st.lists(st.sets(st.integers(1, 9), min_size=1, max_size=3), max_size=3),
+)
+@settings(max_examples=100, deadline=None)
+def test_pairwise_tables_match_one_pairwise_call_per_request(trials, conditions):
+    requests = [("all", None), ("min", None)] + [("min", c) for c in conditions]
+    assert pairwise_tables(trials, requests) == [pairwise(trials, b, k) for b, k in requests]
+
+
+def test_pairwise_tables_pack_each_chosen_trial_once(monkeypatch):
+    packs = Counter()
+    columns = stats._columns
+
+    def counted(t):
+        packs[t.trial_id] += 1
+        return columns(t)
+
+    monkeypatch.setattr(stats, "_columns", counted)
+    trials = [
+        rec(tid, {m: (1, 1, 0, {0: 1}), m + 1: (1, 0, 1, {1: 1})}, 4)
+        for tid, m in enumerate((2, 3, 4))
+    ] + [rec(3, {}, 4)]  # an empty forest, chosen by no request
+    pairwise_tables(trials, [("min", (2,)), ("min", (2, 3)), ("min", (3,))])
+    assert packs == {0: 1, 1: 1}
+    packs.clear()
+    pairwise_tables(trials, [("all", None), ("min", None), ("min", (4,))])
+    assert packs == {0: 1, 1: 1, 2: 1}
 
 
 @pytest.mark.parametrize("key", [-1, 5])

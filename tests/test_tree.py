@@ -25,6 +25,7 @@ from forestscope import (
     node_count,
     parse_tree,
 )
+from forestscope.tree import misclassified, path_tests
 
 from conftest import table_dataset
 
@@ -135,6 +136,17 @@ def test_metrics_path_length_and_error():
     assert m.leaf_cardinality == 3
     assert m.avg_path_length == pytest.approx(1.5)
     assert m.error_rate == pytest.approx(0.5)
+
+
+def test_path_tests_and_misclassified_count_every_row():
+    t = Split(0, (Leaf(0), Split(1, (Leaf(0), Leaf(1)))))
+    # (1, 1) passes both splits, (0, 1) only the root; a duplicate counts again
+    assert path_tests(t, [(1, 1), (0, 1), (1, 1)]) == 5
+    wrong = LabeledExample((1, 1), 0)
+    assert misclassified(t, [wrong, LabeledExample((0, 0), 0), wrong]) == 2
+    assert path_tests(Leaf(1), [(1, 1), (0, 1)]) == 0
+    assert misclassified(Leaf(1), [wrong, wrong]) == 2
+    assert path_tests(t, []) == misclassified(t, []) == 0
 
 
 def _random_tree(rng_draw, schema, features_left, size_left):
