@@ -24,27 +24,22 @@ Three routes to the same forest live here, on purpose:
   `tree`.  Kept deliberately independent of the search enumerator; bounded
   to small schemas.
 * `forest_summary`: per-cardinality accumulation without storing trees.
-  The algebraic mode is one recursion, three algebras: `_solve` memoizes
-  over (train rows, usable features) subproblems, which fix the test and
-  population rows, in one table per usable-feature set; it multiplies the
-  profiles of each split's open children and attaches the split under a
-  key summed from the algebra's field units; what a profile holds is the
-  algebra's business.  Every row of the train, test and population
-  multisets has its own bit in `_Router`'s masks, so each weight is a
-  popcount.  `_CountAlgebra`
-  keeps exact Python-int tree counts keyed on one packed int per (splits,
-  misclassified weight, path tests), the last only when tracked, so no
-  count is fixed-width and none can wrap; `_TotalsAlgebra`, for test errors
-  with no histogram at all, keys on splits alone and sums the errors in the
-  values instead; `_MinSizeAlgebra` is min-plus, giving
-  `min_consistent_size` in one pass.
-  This is what makes thousand-trial runs affordable.  It serves every request,
-  path-length bins included: a tree's path-test total is additive over its
-  splits (each adds the population weight reaching it), so the key carries
-  it and each distinct total is binned once.  The streaming mode drives
-  the search enumerator and measures each tree through `tree`; it runs
-  only when asked for, as the oracle.  Tests hold the two modes and the
-  oracle to bucket-for-bucket agreement.
+  The algebraic mode is one memoized recursion, `_solve`, over (train
+  rows, usable features) subproblems, which fix the test and population
+  rows; it multiplies each split's open children's profiles in one of three
+  algebras.  Every row of the train, test and population multisets has its
+  own bit in `_Router`'s masks, so each weight is a popcount.
+  `_CountAlgebra` keeps exact Python-int tree counts keyed on one packed
+  int per (splits, misclassified weight, path tests), the last only when
+  tracked, so no count is fixed-width and none can wrap; `_TotalsAlgebra`,
+  for test errors with no histogram at all, packs trees, error-free trees
+  and error sums per split count into slots of three big ints, too wide to
+  carry; `_MinSizeAlgebra` is min-plus, giving `min_consistent_size` in one
+  pass.  Path-length bins walk no trees: a tree's path-test total is
+  additive over its splits (each adds the population weight reaching it),
+  so the key carries it and each distinct total is binned once.  The
+  streaming mode, the oracle, measures through `tree` each tree the search
+  enumerator yields; tests hold the two modes to bucket-for-bucket agreement.
 
 Budgets count splits.  `max_nodes=None` means no explicit cap, which is
 effectively (distinct training instances - 1): no consistent tree can use
@@ -88,9 +83,8 @@ class EnumerationLimits:
     """max_nodes: split budget (None = no explicit cap).
     max_trees: safety cap on the trees a walk yields (`iter_consistent`,
     `enumerate_naive`, mode 'stream'), 0 = unlimited; the algebraic
-    summary walks no trees and ignores it.  `iter_consistent` never searches
-    a subproblem below its fewest splits, so a walk spends nothing on the
-    sizes below its smallest tree; the cap still counts trees, not work."""
+    summary walks no trees and ignores it.  The cap counts trees, not work:
+    a walk never searches a size below its smallest tree."""
 
     max_nodes: int | None = None
     max_trees: int = 50_000_000
@@ -122,11 +116,9 @@ class _Router:
     `other_mask`.  The runs are the dataset's own `runs`, counted once when
     it was built, so the rows are not hashed a second time here.
     `row_class` is built on first use, from the same runs as the masks: only
-    training rows are ever tested for purity.  The methods
-    below are the definitions; `_solve`'s split loop evaluates the same
-    one-probe expressions inline, saving a call per child.  `inst_mask`
-    (one bit per distinct instance, its first row, for the bounds that
-    count instances) and `n` (their number) are built on first use too.
+    training rows are ever tested for purity.  `inst_mask` (one bit per
+    distinct instance, its first row, for the bounds that count instances)
+    and `n` (their number) are built on first use too.
     """
 
     def __init__(self, data: Dataset):
@@ -368,7 +360,7 @@ class TrackOptions:
     error_hist: histogram of misclassified test weight per tree (needed by
         pairwise statistics).  Off = the buckets carry only the exact
         tree, correct and misclassified totals; without path bins either,
-        `_TotalsAlgebra` sums them without keying trees on their error.
+        `_TotalsAlgebra` sums them in packed big ints, per split count.
     leaf_hist: read only by the benchmark harness; leaf histograms are not
         tracked, so it must be False, and True raises ValueError.
     path_bins: histogram bin width for per-tree average path length over
@@ -510,7 +502,7 @@ def _summary_algebraic(train, test, limits, pop, track):
     cap = _effective_cap(limits.max_nodes, tr.n)
     use_path = track.path_bins is not None
     if test is not None and not (track.error_hist or use_path):
-        alg = _TotalsAlgebra(cap)
+        alg = _TotalsAlgebra(train.schema.arities, cap, te.full.bit_count())
     else:
         error_hist = track.error_hist and test is not None
         npop = pop.full.bit_count() if pop is not None else None
@@ -530,13 +522,10 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
     One memoized recursion over subproblems (train rows, usable features),
     one memo table per usable set; `pop` is None when no population is
     tracked, which keeps its masks out of the per-split loop.  Each split
-    is attached (`alg.attach`) with its open children's profiles, its key,
-    summed from `alg.units` (split and path tests per subproblem, closed
-    leaves' misclassified weight per split), that misclassified weight
-    itself, and the room `alg.room(depth)` that a split at `depth` leaves
-    its children.  A two-valued feature splits without a list; purity and
-    weights are `_Router`'s one-probe expressions inline, and a child's
-    test and population rows are routed only where they are read.  The memo,
+    is attached as the algebras' comment below says.  A two-valued feature
+    splits without a list; purity and weights are `_Router`'s one-probe
+    expressions inline, saving a call per child, and a child's test and
+    population rows are routed only where they are read.  The memo,
     `memo[usable][tr_bits]`, holds the profile of every impure subproblem
     the recursion reaches below the root.  `solve` calls itself through its
     closure cell, a cycle that would hold the memo for the cyclic collector;
@@ -616,28 +605,15 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
 
 
 # Algebras.  zero() is the profile of no trees and leaf(misc) that of the
-# lone leaf; room(depth) is what a split at `depth` leaves its children;
-# units is what one (split, misclassified test row, path test) adds to a
-# key, 0 for a field not in the key, so the caller sums a split's key `base`
-# itself; attach(out, parts, base, misc, room) adds to `out` the trees of
-# one split with key `base` and closed leaves misclassifying `misc` test
-# rows, whose open children have the profiles `parts` (empty when every
-# child is a closed leaf), never mutating a part; tables(profile) gives the
-# summary's buckets and path bins.  Three algebras: `_CountAlgebra` counts
-# trees exactly in Python ints within its split cap, keeping `misc` in the
-# key, and its mul(a, b, room, out=None, base=0) adds the product of
-# independent children, keys raised by `base`, into `out` (a new dict when
-# None) and returns it, never mutating `a` or `b`; `_TotalsAlgebra` serves
-# only a test set with no histogram at all, so its key is the split count
-# alone, it sums `misc` into (trees, correct, misclassified) values, and its
-# mul(a, b, room) returns a new dict; `_MinSizeAlgebra` is min-plus, ignores
-# the room and needs no mul.  A profile is cut by depth: a subproblem at depth d (d features used on its
-# path) sits under d splits, so its trees keep at most cap - d splits and
-# the children of its split at most cap - d - 1 together.  The memo key
-# fixes d, the number of features not in `usable`, so the cut profile it
-# stores is the same wherever the subproblem recurs.  No other bound is
-# needed: every split parts its rows into at least two nonempty children, so
-# a tree over n distinct training instances has at most n - 1 splits.
+# lone leaf; room(depth) is what a split at `depth` leaves its children
+# (the module docstring's depth cut); units is what one (split,
+# misclassified test row, path test) adds to a key, 0 for a field not in
+# it, so the caller sums a split's key `base`; attach(out, parts, base,
+# misc, room) returns `out` plus the trees of one split with key `base`,
+# closed leaves misclassifying `misc` test rows and open children of
+# profiles `parts` (none when every child is a closed leaf), mutating no
+# part (`_CountAlgebra` adds into its dict `out`); tables(profile) gives
+# the summary's buckets and path bins.
 
 
 class _CountAlgebra:
@@ -677,9 +653,7 @@ class _CountAlgebra:
         return {self.key(0, misc, 0): 1}
 
     def room(self, depth: int) -> int:
-        """Keys below this fit the children of a split at `depth`: they may
-        hold cap - depth - 1 splits."""
-        return (self.cap - depth) << self.split_shift
+        return (self.cap - depth) << self.split_shift  # below cap - depth splits
 
     def mul(
         self,
@@ -689,6 +663,7 @@ class _CountAlgebra:
         out: dict[int, int] | None = None,
         base: int = 0,
     ) -> dict[int, int]:
+        """Adds a * b, keys raised by `base`, to `out` (a new dict when None); returns it."""
         if out is None:
             out = {}
         get = out.get
@@ -763,58 +738,83 @@ class _CountAlgebra:
 
 
 class _TotalsAlgebra:
-    """A dict splits -> (trees, correct, misclassified): the expectation
-    semiring (Li & Eisner, EMNLP 2009) with the error-free count alongside.
-
-    Only a test set with no error histogram and no path bins runs it, so
-    its key is the split count alone.  Children multiply as (c1 c2, z1 z2,
-    m1 c2 + c1 m2); `attach` multiplies a split's open children first, then
-    adds the closed leaves' misclassified weight `misc` as it is: nonzero,
-    it zeroes `correct` and adds `misc` times `trees`.
-    """
+    """The expectation semiring (Li & Eisner, EMNLP 2009) with the error-free
+    count alongside, for a test set with no error histogram or path bins.
+    A profile is None for no trees, else (lo, C, Z, M): slot i (`width` bits
+    from bit i * width) of C, Z and M holds the trees, error-free trees and
+    misclassified sum at lo + i splits; C's slot 0 is never empty.  Children
+    multiply as (C1 C2, Z1 Z2, M1 C2 + C1 M2), cut to the slots below the
+    room; nonzero `misc` zeroes Z and adds misc C to M.  No slot below the
+    room reaches 2**width, and higher ones carry only upward, into slots the
+    cut drops, so every kept slot is exact."""
 
     units = (1, 0, 0)
 
-    def __init__(self, cap: int):
+    def __init__(self, arities: tuple[int, ...], cap: int, test_weight: int):
         self.cap = cap
+        self.width = _slot_width(arities, cap, test_weight)
 
-    def zero(self) -> dict[int, tuple[int, int, int]]:
-        return {}
+    def zero(self) -> None:
+        return None
 
-    def leaf(self, misc: int) -> dict[int, tuple[int, int, int]]:
-        return {0: (1, int(not misc), misc)}
+    def leaf(self, misc: int) -> tuple[int, int, int, int]:
+        return (0, 1, int(not misc), misc)
 
     def room(self, depth: int) -> int:
         return self.cap - depth
 
-    def mul(self, a, b, room):
-        out = {}
-        get = out.get
-        items = sorted(b.items())
-        for k1, (c1, z1, m1) in a.items():
-            left = room - k1
-            for k2, (c2, z2, m2) in items:
-                if k2 >= left:
-                    break
-                k = k1 + k2
-                c, z, m = get(k, (0, 0, 0))
-                out[k] = (c + c1 * c2, z + z1 * z2, m + m1 * c2 + c1 * m2)
-        return out
-
     def attach(self, out, parts, base, misc, room):
-        acc = parts[0] if parts else {0: (1, 1, 0)}
-        for part in parts[1:]:
-            acc = self.mul(acc, part, room)
-        get = out.get
-        for k, (c, z, m) in acc.items():
-            if k < room:
-                k += base
-                o = get(k, (0, 0, 0))
-                out[k] = (o[0] + c, o[1] + (0 if misc else z), o[2] + m + misc * c)
-        return out
+        if None in parts:
+            return out
+        lo, c, z, m = parts[0] if parts else (0, 1, 1, 0)
+        for lo2, c2, z2, m2 in parts[1:]:
+            lo += lo2
+            c, z, m = c * c2, z * z2, m * c2 + c * m2
+        if lo >= room:
+            return out
+        keep = self.width * (room - lo)  # the bits of the slots below the room
+        if c >> keep:
+            mask = (1 << keep) - 1
+            c, z, m = c & mask, z & mask, m & mask
+        if misc:
+            z, m = 0, m + misc * c
+        lo += base
+        if out is None:
+            return (lo, c, z, m)
+        lo0, c0, z0, m0 = out
+        if lo < lo0:
+            lo0, c0, z0, m0, lo, c, z, m = lo, c, z, m, lo0, c0, z0, m0
+        s = self.width * (lo - lo0)
+        return (lo0, c0 + (c << s), z0 + (z << s), m0 + (m << s))
 
     def tables(self, profile):
-        return {k: CardinalityBucket(*profile[k]) for k in sorted(profile)}, None
+        buckets: dict[int, CardinalityBucket] = {}
+        lo, c, z, m = profile or (0, 0, 0, 0)
+        w, mask = self.width, (1 << self.width) - 1
+        while c:
+            if c & mask:
+                buckets[lo] = CardinalityBucket(c & mask, z & mask, m & mask)
+            lo, c, z, m = lo + 1, c >> w, z >> w, m >> w
+        return buckets, None
+
+
+@lru_cache(maxsize=64)
+def _slot_width(arities: tuple[int, ...], cap: int, test_weight: int) -> int:
+    """Bits per `_TotalsAlgebra` slot: one more than those of B * max(1, test
+    weight), B bounding the trees of one size within the cap of a subproblem
+    or open children's product: the lesser of T(F), T(k) = 1 + k T(k-1)^A
+    over k features (A the largest arity), and the A-ary shapes of up to cap
+    splits with a feature on each, sum F^s binom(A s, s) / ((A-1) s + 1)."""
+    a, f = max(arities), len(arities)
+    capped_bits = cap * (3 * f * a).bit_length() + (cap + 1).bit_length()  # terms < (3FA)^s
+    depth = k = 1
+    while k <= f and depth.bit_length() <= capped_bits:  # only until past the sum
+        depth, k = 1 + k * depth**a, k + 1
+    capped = s = 0
+    while s <= cap and capped < depth:  # only until past T(F)
+        capped += f**s * math.comb(a * s, s) // ((a - 1) * s + 1)
+        s += 1
+    return (min(depth, capped) * max(1, test_weight)).bit_length() + 1
 
 
 class _MinSizeAlgebra:

@@ -272,7 +272,8 @@ def pairwise(
     product rev_j * col_k then holds at x**(S - 1 + g), S the number of
     sizes, the pairs of a size-c tree with error j and a size-(c + g) tree
     with error k, summed over c.  So, with lead_k = rev_k (under 'min',
-    only its top slot, the minimum size), size gap g reads
+    only its top slot, the minimum size, as a scalar, which moves the
+    products' slots down by S - 1), size gap g reads
     sum_k (sum_{j<k} lead_j) * col_k for pairs where the smaller tree errs
     less, sum_k lead_k * col_k for ties and (sum lead) * (sum col) for all
     pairs; the rest are pairs where the larger tree errs less.  Every
@@ -316,9 +317,12 @@ def _pairwise(chosen: Sequence[_Columns], baseline: str) -> list[PairwiseRow]:
     present: Counter[int] = Counter()
     for t in chosen:
         width, top = t.width, (t.sizes - 1) * t.width
-        leads = t.revs if baseline == "all" else [v >> top << top for v in t.revs]
-        # ties sit above the 2 * sizes - 1 slots of the smaller-errs-less
-        # tally, so one product per error count yields both
+        if baseline == "min":  # scalar leads: the products' slots start at x**0
+            leads, top = [v >> top for v in t.revs], 0
+        else:
+            leads = t.revs
+        # ties sit above the smaller-errs-less tally's slots (2 * sizes - 1,
+        # or sizes under 'min'), so one product per error count yields both
         span = top + width * t.sizes
         below = tally = 0
         for lead, col in zip(leads, t.cols):

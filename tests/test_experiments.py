@@ -252,6 +252,17 @@ def test_worker_count_is_capped_by_trials_and_cpus(monkeypatch, threads, cpus, w
     assert strip_wall(got[0].records) == strip_wall(run_trials(cfg, threads=1)[0].records)
 
 
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_two_workers_match_one_under_every_start_method(monkeypatch, method):
+    # the pool starts workers the platform's default way; whichever way that
+    # is, two workers give the records of one
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(method).Pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = small_config()  # 6 trials
+    got = run_trials(cfg, threads=2)
+    assert strip_wall(got[0].records) == strip_wall(run_trials(cfg, threads=1)[0].records)
+
+
 def test_trial_seeds_depend_on_scope_not_name():
     a = run_trials(small_config(name="one", seed_scope="shared"))[0].records
     b = run_trials(small_config(name="two", seed_scope="shared"))[0].records

@@ -1,5 +1,6 @@
 """Enumeration routes agree: search enumerator, naive oracle, algebraic sums."""
 
+import copy
 import gc
 import hashlib
 import itertools
@@ -114,6 +115,21 @@ def _parity_count(n):
     return 1 if n == 1 else n * _parity_count(n - 1) ** 2
 
 
+def _parity(n):
+    schema = binary_schema([f"p{i}" for i in range(n)])
+    return table_dataset(schema, [sum(x) % 2 for x in instance_space(schema)])
+
+
+def _mixed_arity_parity():
+    # the full space over arities (2, 3, 4, 2, 3), labelled by the sum of
+    # its values mod 2
+    schema = FeatureSchema(
+        tuple((f"m{f}", tuple(f"v{v}" for v in range(a))) for f, a in enumerate((2, 3, 4, 2, 3))),
+        ("even", "odd"),
+    )
+    return table_dataset(schema, [sum(x) % 2 for x in instance_space(schema)])
+
+
 def test_parity_forest_matches_its_closed_form():
     summary = forest_summary(_full("parity5"), track=TrackOptions(error_hist=False))
     assert {c: b.tree_count for c, b in summary.buckets.items()} == {31: _parity_count(5)}
@@ -129,8 +145,7 @@ def test_parity_closed_form_holds_past_64_bits_on_both_algebras(monkeypatch, n, 
     seen = []
     solve = forest._solve
     monkeypatch.setattr(forest, "_solve", lambda alg, *a: seen.append(type(alg)) or solve(alg, *a))
-    schema = binary_schema([f"p{i}" for i in range(n)])
-    data = table_dataset(schema, [sum(x) % 2 for x in instance_space(schema)])
+    data = _parity(n)
     want = _parity_count(n)
     assert f"{want:.3e}" == trees and want >= 2**64
     for test in (None, data):
@@ -141,18 +156,13 @@ def test_parity_closed_form_holds_past_64_bits_on_both_algebras(monkeypatch, n, 
 
 
 def test_mixed_arity_parity_forest_matches_its_closed_form(monkeypatch):
-    # the full space over arities (2, 3, 4, 2, 3), labelled by the sum of
-    # its values mod 2: a subproblem with a feature left is impure and no
-    # branch is empty, so every consistent tree is complete, and its size
-    # profile is G_S(x) = sum over f in S of x G_{S-f}(x)^(arity f)
+    # a subproblem with a feature left is impure and no branch is empty, so
+    # every consistent tree is complete, and its size profile is
+    # G_S(x) = sum over f in S of x G_{S-f}(x)^(arity f)
     import forestscope.forest as forest
 
-    arities = (2, 3, 4, 2, 3)
-    schema = FeatureSchema(
-        tuple((f"m{f}", tuple(f"v{v}" for v in range(a))) for f, a in enumerate(arities)),
-        ("even", "odd"),
-    )
-    data = table_dataset(schema, [sum(x) % 2 for x in instance_space(schema)])
+    data = _mixed_arity_parity()
+    arities = data.schema.arities
     assert len(data) == 144
 
     def times(p, q):
@@ -198,6 +208,25 @@ def test_mixed_arity_parity_forest_matches_its_closed_form(monkeypatch):
         seen.clear()
         totals.append(sum(cut.values()))
     assert totals == [0, 32, 448, 1_427_630_577_392, 7_596_737_731_592_192]
+
+
+@pytest.mark.parametrize(
+    "make, trees",
+    [
+        (lambda: _parity(7), _parity_count(7)),
+        (lambda: _parity(8), _parity_count(8)),
+        (_mixed_arity_parity, 7_597_837_243_219_968),
+    ],
+    ids=["parity7", "parity8", "mixed-arity"],
+)
+def test_totals_slots_are_wider_than_every_tree_times_the_test_weight(make, trees):
+    # each space as its own test set: a slot of the root profile may hold
+    # every tree, and their misclassified sum up to trees x test weight
+    from forestscope.forest import _TotalsAlgebra
+
+    data = make()
+    alg = _TotalsAlgebra(data.schema.arities, len(data) - 1, len(data))
+    assert alg.width > (trees * len(data)).bit_length()
 
 
 def _walk_closed_early(train, limits):
@@ -473,18 +502,51 @@ def test_error_totals_equal_the_histogram_summary_without_its_histograms(paths, 
     )
 
 
+@pytest.mark.property_based
+@given(st.integers(0, 2**32), st.integers(2, 4), st.sampled_from([None, 2, 4, 6]))
+@settings(max_examples=40, deadline=None)
+def test_error_totals_match_the_counts_on_small_mixed_arity_schemas(seed, n_features, cap):
+    # random schemas (arities 2 to 4, 2 or 3 classes), labels that follow
+    # one feature with a quarter of them shifted, and draws with replacement,
+    # so duplicate rows weigh: the totals algebra's buckets are the counting
+    # algebra's with the histograms dropped
+    r = SplitMix64(seed)
+    arities = [2 + r.below(3) for _ in range(n_features)]
+    classes = ("c0", "c1", "c2")[: 2 + r.below(2)]
+    schema = FeatureSchema(
+        tuple((f"f{f}", tuple(f"v{v}" for v in range(a))) for f, a in enumerate(arities)), classes
+    )
+    key = r.below(n_features)
+    labels = [(x[key] + r.below(2) * r.below(2)) % len(classes) for x in instance_space(schema)]
+    data = table_dataset(schema, labels)
+    train = sample_with_replacement(data, 4 + r.below(17), r)
+    test = sample_with_replacement(data, 1 + r.below(60), r)
+    lim = EnumerationLimits(max_nodes=cap)
+    sums = forest_summary(train, test, lim, track=TrackOptions(error_hist=False))
+    hist = forest_summary(train, test, lim)
+    assert sums == replace(
+        hist, buckets={c: replace(b, error_hist=None) for c, b in hist.buckets.items()}
+    )
+
+
 def test_error_totals_keep_one_key_per_tree_size(monkeypatch):
     # a fig8-shaped draw, uncapped: the totals algebra keys its profile on
-    # splits alone here, so the root profile holds at most cap + 1 keys where
-    # the histogram's holds more; a fallback to the counting algebra fails
+    # splits alone here, so the root window spans at most cap + 1 slots where
+    # the histogram's profile holds more keys; a fallback to the counting
+    # algebra fails
     import forestscope.forest as forest
+
+    def span(alg, profile):
+        if isinstance(alg, forest._CountAlgebra):
+            return len(profile)
+        return -(-profile[1].bit_length() // alg.width)  # C's slots, lo up
 
     seen = []
     for cls in (forest._CountAlgebra, forest._TotalsAlgebra):
         monkeypatch.setattr(
             cls,
             "tables",
-            lambda self, profile, tables=cls.tables: seen.append((type(self), len(profile)))
+            lambda self, profile, tables=cls.tables: seen.append((type(self), span(self, profile)))
             or tables(self, profile),
         )
     data = apply_concept(get_concept("xyz-or-ab"))
@@ -897,15 +959,37 @@ def _as_profile(alg, trees):
     # the profile, in `alg`, of these (splits, misc) trees
     from forestscope.forest import _TotalsAlgebra
 
+    if isinstance(alg, _TotalsAlgebra):  # slot by slot, from the fewest splits
+        if not trees:
+            return None
+        lo = min(splits for splits, _ in trees)
+        c = z = m = 0
+        for splits, misc in trees:
+            at = (splits - lo) * alg.width
+            c, z, m = c + (1 << at), z + ((misc == 0) << at), m + (misc << at)
+        return (lo, c, z, m)
     out = {}
     for splits, misc in trees:
-        if isinstance(alg, _TotalsAlgebra):
-            c, z, m = out.get(splits, (0, 0, 0))
-            out[splits] = (c + 1, z + (misc == 0), m + misc)
-        else:
-            k = alg.key(splits, misc, 0)
-            out[k] = out.get(k, 0) + 1
+        k = alg.key(splits, misc, 0)
+        out[k] = out.get(k, 0) + 1
     return out
+
+
+def _totals(trees):
+    # splits -> (trees, correct, misclassified) of these (splits, misc) trees
+    out = {}
+    for splits, misc in trees:
+        c, z, m = out.get(splits, (0, 0, 0))
+        out[splits] = (c + 1, z + (misc == 0), m + misc)
+    return out
+
+
+def _decoded(alg, profile):
+    # a totals profile as `_totals` gives it, read through `tables`; no
+    # profile's lowest slot is empty
+    assert profile is None or profile[1] & ((1 << alg.width) - 1)
+    buckets, _ = alg.tables(profile)
+    return {c: (b.tree_count, b.correct_count, b.misclassified_total) for c, b in buckets.items()}
 
 
 def _product(parts, budget, base):
@@ -923,7 +1007,11 @@ def _product(parts, budget, base):
 @settings(max_examples=200, deadline=None)
 def test_count_algebra_keeps_keys_within_the_room(seed, cap):
     # both counting algebras, held to a tree-by-tree product: keys, counts,
-    # error-free counts and error sums, the split's closed-leaf misc included
+    # error-free counts and error sums, the split's closed-leaf misc included;
+    # the totals algebra's profiles are read through `tables`.  Its test
+    # weight of 2**16 widens each slot past the largest tally here (21**3
+    # trees erring at most 4 each), which these made-up parts, unlike any
+    # real forest's, would otherwise overflow
     from forestscope.forest import _CountAlgebra, _TotalsAlgebra
 
     r = SplitMix64(seed)
@@ -931,9 +1019,10 @@ def test_count_algebra_keeps_keys_within_the_room(seed, cap):
     split = (1, r.below(2))
     old = [split] * 7 + [(cap, 0)] * 3
     count = _CountAlgebra(cap, 4, True, None, None)
-    for alg in (count, _TotalsAlgebra(cap)):
+    totals = _TotalsAlgebra((2, 3), cap, 2**16)
+    for alg in (count, totals):
         parts = [_as_profile(alg, t) for t in trees]
-        before = [dict(p) for p in parts]
+        before = copy.deepcopy(parts)
         # the totals algebra takes the split's misc beside its key
         split_unit, misc_unit, _ = alg.units
         base = split_unit + split[1] * misc_unit
@@ -941,18 +1030,24 @@ def test_count_algebra_keeps_keys_within_the_room(seed, cap):
             room = alg.room(depth)
             assert room == (cap - depth) * split_unit
 
-            got = alg.mul(parts[0], parts[1], room)
-            assert got == _as_profile(alg, _product(trees[:2], cap - depth, (0, 0)))
+            pair = _product(trees[:2], cap - depth, (0, 0))
             if alg is count:  # only the counting algebra multiplies into a profile
+                got = alg.mul(parts[0], parts[1], room)
+                assert got == _as_profile(alg, pair)
                 into = _as_profile(alg, old)
                 got = alg.mul(parts[0], parts[1], room, into, base)
                 assert got is into
                 assert got == _as_profile(alg, old + _product(trees[:2], cap - depth, split))
+            else:  # the product of two parts, attached under no split
+                assert _decoded(alg, alg.attach(None, parts[:2], 0, 0, room)) == _totals(pair)
 
             for n in range(4):
                 added = _product(trees[:n], cap - depth, split)
                 got = alg.attach(_as_profile(alg, old), parts[:n], base, split[1], room)
-                assert got == _as_profile(alg, old + added)
+                if alg is count:
+                    assert got == _as_profile(alg, old + added)
+                else:
+                    assert _decoded(alg, got) == _totals(old + added)
                 assert all(t[0] <= cap - depth for t in added)
                 if room <= 0:
                     assert not added
@@ -973,7 +1068,7 @@ def test_field_units_build_the_keys_that_key_defines(track, seed):
     r = SplitMix64(seed)
     cap, test_weight, npop = r.below(9), r.below(40), 1 + r.below(50)
     count = _CountAlgebra(cap, test_weight, True, track.path_bins, npop)
-    totals = _TotalsAlgebra(cap)
+    totals = _TotalsAlgebra((2, 2, 3), cap, test_weight)
     for _ in range(20):
         splits = r.below(cap + 2)
         misc = r.below(test_weight + 1)
@@ -986,7 +1081,8 @@ def test_field_units_build_the_keys_that_key_defines(track, seed):
         # the tree's error, kept in the key or folded into the totals
         key = count.key(splits, misc, path)
         assert count.attach({}, [], key, misc, 1) == {key: 1}
-        assert totals.attach({}, [], splits, misc, 1) == {splits: (1, int(not misc), misc)}
+        closed = totals.attach(totals.zero(), [], splits, misc, 1)
+        assert _decoded(totals, closed) == {splits: (1, int(not misc), misc)}
     assert _MinSizeAlgebra().units == (0, 0, 0)
 
 
