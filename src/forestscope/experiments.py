@@ -17,11 +17,11 @@ trials are literally the same draws.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import time
 from dataclasses import dataclass, replace
-from operator import getitem
 from typing import Callable, Sequence
 
 from . import charts, stats
@@ -380,24 +380,16 @@ def emit_all(
 
 
 def _write_manifest(path, config, results) -> None:
-    import csv
-
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["preset", "seed", "trial_id", "accepted", "min_size", "total_trees"])
         for res in results:
             label = leg_table_label(config, res.leg)
-            for r in res.records:
-                w.writerow(
-                    [
-                        label,
-                        config.master_seed,
-                        r.trial_id,
-                        int(r.accepted),
-                        "" if r.min_size is None else r.min_size,
-                        r.summary.total_trees,
-                    ]
-                )
+            w.writerows(
+                (label, config.master_seed, r.trial_id, int(r.accepted),
+                 "" if r.min_size is None else r.min_size, r.summary.total_trees)
+                for r in res.records
+            )
 
 
 # Each charted table's title, axis labels, x column and (y column, series
@@ -444,21 +436,17 @@ def _write_chart(path, chart, sections) -> None:
 
 # ----------------------------------------------------- record persistence
 
-# The record dump's fields, stored under their attribute names: each
-# record's own, its summary's, and under "buckets" each bucket's, keyed by
-# cardinality.  Fields in _INT_KEYED are dicts keyed by int; they, like
-# "buckets", are stored with str keys (JSON object keys are strings).  Every
-# row also carries its table label as "preset", and every bucket
-# "leaf_hist": null, the field of leaf histograms, which are not tracked:
-# it is written as a constant, and a bucket loads only when it is null.
+# A trial_records.jsonl line is one JSON object per trial, keys sorted: the
+# record's fields, its summary's, its table label as "preset", and under
+# "buckets" one object per cardinality holding the bucket's fields and
+# "leaf_hist": null (leaf histograms are not tracked, and a bucket loads only
+# when it is null).  Dicts keyed by int, "buckets" and _INT_KEYED, are stored
+# with their keys as strings in string order.  The writer fills line
+# templates built from these names; the loader checks each field's type.
 _RECORD_FIELDS = ("trial_id", "seed", "accepted", "rejections", "n_train", "n_test", "min_size")
 _SUMMARY_FIELDS = ("test_weight", "population_size", "path_bin_width", "path_bins")
 _BUCKET_FIELDS = (
-    "tree_count",
-    "correct_count",
-    "misclassified_total",
-    "error_hist",
-    "path_tests_total",
+    "tree_count", "correct_count", "misclassified_total", "error_hist", "path_tests_total"
 )
 # The JSON types a loaded field may take, matched exactly so that a JSON
 # true is no int; a field not named here must be an int.
@@ -475,10 +463,6 @@ _LOADED_TYPES = {
 }
 
 
-def _is_int(value) -> bool:
-    return type(value) is int
-
-
 def _count(text: str) -> int:
     """An int, or int key, of a record dump: a count, an id or a seed, never negative."""
     if (value := int(text)) < 0:
@@ -488,8 +472,8 @@ def _count(text: str) -> int:
 
 # The int-keyed dicts, each with the check of an entry's value.
 _INT_KEYED = {
-    "error_hist": _is_int,
-    "path_bins": lambda v: type(v) is list and len(v) == 2 and all(map(_is_int, v)),
+    "error_hist": lambda v: type(v) is int,
+    "path_bins": lambda v: type(v) is list and len(v) == 2 and type(v[0]) is type(v[1]) is int,
 }
 
 
@@ -499,30 +483,19 @@ def _json_object(value) -> dict:
     return value
 
 
-def _pick(get: Callable, source, names: Sequence[str], key: Callable) -> dict:
-    """`get(source, name)` for each of `names`, each one required.
-
-    The int-keyed dicts among them get their keys converted by `key`: to
-    dump a record, `getattr` and `str`; to load one, `getitem` and `_count`.
-    """
-    row = {}
-    for name in names:
-        value = get(source, name)
-        if value is not None and name in _INT_KEYED:
-            value = {key(k): v for k, v in _json_object(value).items()}
-        row[name] = value
-    return row
-
-
 def _load(row: dict, names: Sequence[str]) -> dict:
-    """`names` of a loaded JSON object, each checked for its JSON type."""
-    picked = _pick(getitem, row, names, _count)
-    for name, value in picked.items():
+    """Each of `names` in a loaded JSON object, type-checked; int-keyed dicts get int keys."""
+    picked = {}
+    for name in names:
+        value = row[name]
         entry_ok = _INT_KEYED.get(name)
         if type(value) not in _LOADED_TYPES.get(name, (int,)) or (
             value is not None and entry_ok is not None and not all(map(entry_ok, value.values()))
         ):
             raise TypeError(f"field {name!r} has the wrong type")
+        if value is not None and entry_ok is not None:
+            value = {_count(k): v for k, v in value.items()}
+        picked[name] = value
     return picked
 
 
@@ -532,24 +505,51 @@ def _load_bucket(row: dict) -> CardinalityBucket:
     return CardinalityBucket(**_load(row, _BUCKET_FIELDS))
 
 
-# Each row is a fresh tree of plain values, so the encoder skips its check
-# for reference cycles.
-_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+def _line_template(names: Sequence[str]) -> str:
+    """`%` template of a JSON object keyed by `names` in `sort_keys` order:
+    "%d" for an int field, "%s" for any other, given as its JSON text."""
+    fields = (f'"{n}": %{"d" if n in _INT_FIELDS else "s"}' for n in sorted(names))
+    return "{%s}" % ", ".join(fields)
+
+
+_INT_FIELDS = {*_RECORD_FIELDS, *_SUMMARY_FIELDS, *_BUCKET_FIELDS} - _LOADED_TYPES.keys()
+_RECORD_LINE = _line_template(_RECORD_FIELDS + _SUMMARY_FIELDS + ("preset", "buckets")) + "\n"
+_BUCKET_LINE = _line_template(_BUCKET_FIELDS + ("leaf_hist",))
+_ENTRY = '"{}": {}'.format
+# Labels and bin widths keep JSON's string escapes and float repr.
+_ENCODER = json.JSONEncoder()
+
+
+def _int_keyed(d: dict | None, text: Callable | None = None) -> str:
+    """JSON text of a dict keyed by int, or null, its values written by `text`
+    or else by `str`.  Sorting the entries sorts them in the string order of
+    their keys: the quote closing a key sorts below every digit and "-"."""
+    if d is None:
+        return "null"
+    values = d.values() if text is None else map(text, d.values())
+    return "{%s}" % ", ".join(sorted(map(_ENTRY, d, values)))
+
+
+def _bucket_text(b: CardinalityBucket) -> str:
+    path = "null" if b.path_tests_total is None else b.path_tests_total
+    hist = _int_keyed(b.error_hist)
+    return _BUCKET_LINE % (b.correct_count, hist, "null", b.misclassified_total, path, b.tree_count)
 
 
 def _write_records(path, config, results) -> None:
+    # the values in _RECORD_LINE's sorted key order
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for res in results:
-            label = leg_table_label(config, res.leg)
+            label = _ENCODER.encode(leg_table_label(config, res.leg))
             for r in res.records:
                 s = r.summary
-                row = _pick(getattr, r, _RECORD_FIELDS, str)
-                row.update(_pick(getattr, s, _SUMMARY_FIELDS, str), preset=label)
-                row["buckets"] = {
-                    str(c): {**_pick(getattr, b, _BUCKET_FIELDS, str), "leaf_hist": None}
-                    for c, b in s.buckets.items()
-                }
-                fh.write(_ENCODER.encode(row) + "\n")
+                fh.write(_RECORD_LINE % (
+                    "true" if r.accepted else "false", _int_keyed(s.buckets, _bucket_text),
+                    "null" if r.min_size is None else r.min_size, r.n_test, r.n_train,
+                    _ENCODER.encode(s.path_bin_width), _int_keyed(s.path_bins),
+                    "null" if s.population_size is None else s.population_size, label,
+                    r.rejections, r.seed, s.test_weight, r.trial_id,
+                ))
 
 
 def load_trial_records(path) -> list[tuple[str, TrialRecord]]:

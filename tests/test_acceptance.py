@@ -43,7 +43,7 @@ from forestscope import (
     split_disjoint,
 )
 from forestscope.dataset import Dataset, LabeledExample
-from forestscope.experiments import select_legs
+from forestscope.experiments import LegResult, select_legs
 from forestscope.rng import SplitMix64, stream
 
 from conftest import shuttle_stand_in
@@ -213,6 +213,18 @@ def test_preferred_size_policy_over_1000_trials(xyz1000):
     for min_size, (want_pref, want_count) in REFERENCE_POLICY.items():
         assert policy[min_size] == want_pref, f"min {min_size}"
         assert groups[min_size].trial_count == pytest.approx(want_count, rel=0.15)
+
+
+# SHA-256 of fig10's trial_records.jsonl at SEED: the dump with the most
+# error-histogram entries (85,689 over its 1000 records)
+_FIG10_RECORDS_DIGEST = "f8fd8329295a9e8baf795c041c1cb734a5a73661825f0e935d4d1c9a719c3485"
+
+
+def test_fig10_record_dump_keeps_its_bytes(tmp_path, xyz1000):
+    cfg = replace(preset("fig10"), master_seed=SEED)
+    emit_all(cfg, (LegResult(cfg.legs[0], xyz1000),), str(tmp_path))
+    digest = hashlib.sha256((tmp_path / "trial_records.jsonl").read_bytes()).hexdigest()
+    assert digest == _FIG10_RECORDS_DIGEST
 
 
 def test_structural_properties_hold_end_to_end(tmp_path):

@@ -12,17 +12,23 @@ from xml.sax.saxutils import escape
 
 import pytest
 from dataclasses import replace
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import forestscope
 from forestscope import (
+    CardinalityBucket,
     DatasetError,
     DatasetFormatError,
     EnumerationTruncated,
     ExperimentConfig,
+    ForestSummary,
     InconsistentDataError,
+    LegResult,
     LegSpec,
     SchemaError,
     TreeFormatError,
+    TrialRecord,
     emit_all,
     load_trial_records,
     preset,
@@ -421,6 +427,11 @@ def test_chart_labels_escape_markup_characters_only(tmp_path):
     assert label.encode() not in body
 
 
+def _first_trials(name, count):
+    cfg = _pinned_config(name)
+    return replace(cfg, legs=tuple(replace(l, trial_count=count) for l in cfg.legs))
+
+
 def test_trial_records_round_trip(tmp_path):
     cfg = small_config(analyses=("cardinality",), path_bin_width=0.5)
     res = run_trials(cfg)
@@ -434,6 +445,112 @@ def test_trial_records_round_trip(tmp_path):
     assert all(
         b.path_tests_total is not None for s in summaries for b in s.buckets.values()
     )
+    # dump -> load -> dump keeps the bytes: with path bins, for fig8's
+    # with-replacement draws without histograms, and for fig2's unaccepted trials
+    fig8, fig2 = _first_trials("fig8", 6), _first_trials("fig2", 6)
+    for config, results in ((cfg, res), (fig8, run_trials(fig8)), (fig2, run_trials(fig2))):
+        first, again = tmp_path / f"{config.name}-1", tmp_path / f"{config.name}-2"
+        emit_all(config, results, str(first))
+        records = tuple(r for _, r in load_trial_records(str(first / "trial_records.jsonl")))
+        emit_all(config, (LegResult(config.legs[0], records),), str(again))
+        dumped = (first / "trial_records.jsonl").read_bytes()
+        assert (again / "trial_records.jsonl").read_bytes() == dumped, config.name
+        if config is fig8:
+            assert all(b.error_hist is None for r in records for b in r.summary.buckets.values())
+        if config is fig2:
+            assert [r.trial_id for r in records if not r.accepted] == [2, 4]
+            assert [r.rejections for r in records] == [0, 0, 1, 0, 1, 0]
+
+
+def _dict_form(label, r):
+    """A record as the dict that `json.dumps(row, sort_keys=True)` once wrote
+    as its line: the oracle of the line writer."""
+
+    def str_keys(d):
+        return None if d is None else {str(k): v for k, v in d.items()}
+
+    s = r.summary
+    buckets = {
+        str(c): {
+            "tree_count": b.tree_count,
+            "correct_count": b.correct_count,
+            "misclassified_total": b.misclassified_total,
+            "error_hist": str_keys(b.error_hist),
+            "path_tests_total": b.path_tests_total,
+            "leaf_hist": None,
+        }
+        for c, b in s.buckets.items()
+    }
+    return {
+        "trial_id": r.trial_id,
+        "seed": r.seed,
+        "accepted": r.accepted,
+        "rejections": r.rejections,
+        "n_train": r.n_train,
+        "n_test": r.n_test,
+        "min_size": r.min_size,
+        "test_weight": s.test_weight,
+        "population_size": s.population_size,
+        "path_bin_width": s.path_bin_width,
+        "path_bins": str_keys(s.path_bins),
+        "preset": label,
+        "buckets": buckets,
+    }
+
+
+# int keys across 9, 99 and 999, where "10" sorts before "2"
+_KEYS = st.sampled_from((0, 1, 2, 9, 10, 11, 20, 99, 100, 101, 999, 1000, 1001)) | st.integers(0, 1100)
+_COUNTS = st.integers(0, 12) | st.integers(2**64 - 2, 2**66)  # and past 2**64
+_BUCKETS = st.builds(
+    CardinalityBucket,
+    tree_count=_COUNTS,
+    correct_count=_COUNTS,
+    misclassified_total=_COUNTS,
+    error_hist=st.none() | st.dictionaries(_KEYS, _COUNTS, max_size=4),
+    path_tests_total=st.none() | _COUNTS,
+)
+# quotes, backslashes, control and non-ASCII characters
+_LABELS = st.text(st.sampled_from('a:"\\\n\x00é☃𝄞'), max_size=6)
+
+
+@st.composite
+def _records(draw):
+    summary = ForestSummary(
+        buckets=draw(st.dictionaries(_KEYS, _BUCKETS, max_size=4)),
+        test_weight=draw(_COUNTS),
+        population_size=draw(st.none() | _COUNTS),
+        path_bin_width=draw(st.sampled_from((None, 0.25, 1, 0.1, 2.5))),
+        path_bins=draw(
+            st.none() | st.dictionaries(_KEYS, st.lists(_COUNTS, min_size=2, max_size=2), max_size=4)
+        ),
+    )
+    accepted = draw(st.booleans())
+    return TrialRecord(
+        trial_id=draw(_COUNTS),
+        seed=draw(_COUNTS),
+        n_train=draw(_COUNTS),
+        n_test=summary.test_weight,
+        min_size=summary.min_size,
+        summary=summary,
+        accepted=accepted,
+        rejections=0 if accepted else 1,
+    )
+
+
+@given(
+    name=_LABELS,
+    legs=st.lists(st.tuples(_LABELS, st.lists(_records(), min_size=1, max_size=2)), min_size=1, max_size=2),
+)
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_record_lines_are_the_sorted_json_of_their_dict_form(tmp_path, name, legs):
+    cfg = small_config(name=name)
+    results = tuple(LegResult(LegSpec(label, 20, len(rs)), tuple(rs)) for label, rs in legs)
+    path = tmp_path / "records.jsonl"
+    experiments._write_records(path, cfg, results)
+    pairs = [(leg_table_label(cfg, res.leg), r) for res in results for r in res.records]
+    want = "".join(json.dumps(_dict_form(*pair), sort_keys=True) + "\n" for pair in pairs)
+    assert path.read_bytes() == want.encode("utf-8")
+    assert load_trial_records(path) == pairs
 
 
 def test_trial_records_loader_rejects_garbage(tmp_path):
