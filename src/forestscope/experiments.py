@@ -43,6 +43,7 @@ from .forest import (
     EnumerationLimits,
     ForestSummary,
     TrackOptions,
+    broken_identity,
     forest_summary,
     iter_consistent,
     min_consistent_size,
@@ -436,31 +437,58 @@ def _write_chart(path, chart, sections) -> None:
 
 # ----------------------------------------------------- record persistence
 
-# A trial_records.jsonl line is one JSON object per trial, keys sorted: the
-# record's fields, its summary's, its table label as "preset", and under
-# "buckets" one object per cardinality holding the bucket's fields and
-# "leaf_hist": null (leaf histograms are not tracked, and a bucket loads only
-# when it is null).  Dicts keyed by int, "buckets" and _INT_KEYED, are stored
-# with their keys as strings in string order.  The writer fills line
-# templates built from these names; the loader checks each field's type.
-_RECORD_FIELDS = ("trial_id", "seed", "accepted", "rejections", "n_train", "n_test", "min_size")
-_SUMMARY_FIELDS = ("test_weight", "population_size", "path_bin_width", "path_bins")
-_BUCKET_FIELDS = (
-    "tree_count", "correct_count", "misclassified_total", "error_hist", "path_tests_total"
+# `_record_line` is the one definition of a trial_records.jsonl line: a JSON
+# object per trial, keys sorted, int keys as strings, and "leaf_hist": null
+# (leaf histograms are not tracked).  Every int goes through "%d", so a float,
+# a bool or a string there raises or writes other text.
+_RECORD_LINE = (
+    '{"accepted": %s, "buckets": %s, "min_size": %s, "n_test": %d, "n_train": %d,'
+    ' "path_bin_width": %s, "path_bins": %s, "population_size": %s, "preset": %s,'
+    ' "rejections": %d, "seed": %d, "test_weight": %d, "trial_id": %d}\n'
 )
-# The JSON types a loaded field may take, matched exactly so that a JSON
-# true is no int; a field not named here must be an int.
-_NONE = type(None)
-_LOADED_TYPES = {
-    "preset": (str,),
-    "accepted": (bool,),
-    "min_size": (int, _NONE),
-    "population_size": (int, _NONE),
-    "path_tests_total": (int, _NONE),
-    "path_bin_width": (float, int, _NONE),
-    "path_bins": (dict, _NONE),
-    "error_hist": (dict, _NONE),
-}
+_BUCKET_ENTRY = (
+    '"%d": {"correct_count": %d, "error_hist": %s, "leaf_hist": null,'
+    ' "misclassified_total": %d, "path_tests_total": %s, "tree_count": %d}'
+)
+_HIST_ENTRY = '"%d": %d'.__mod__
+
+
+def _nullable(n: int | None) -> str:
+    return "null" if n is None else "%d" % n
+
+
+def _int_keyed(entries) -> str:
+    """A JSON object keyed by int, from its '"key": value' entries, sorted: the
+    quote closing a key sorts below every digit, so keys go in string order."""
+    return "{%s}" % ", ".join(sorted(entries))
+
+
+def _record_line(label_text: str, r: TrialRecord) -> str:
+    """`r`'s line of a dump; `label_text` is its table label as JSON text."""
+    s = r.summary
+    buckets = _int_keyed(
+        _BUCKET_ENTRY % (
+            c, b.correct_count,
+            "null" if b.error_hist is None else _int_keyed(map(_HIST_ENTRY, b.error_hist.items())),
+            b.misclassified_total, _nullable(b.path_tests_total), b.tree_count,
+        )
+        for c, b in s.buckets.items()
+    )
+    bins = "null" if s.path_bins is None else _int_keyed(
+        '"%d": [%d, %d]' % (k, *v) for k, v in s.path_bins.items()
+    )
+    return _RECORD_LINE % (
+        "true" if r.accepted else "false", buckets, _nullable(r.min_size), r.n_test, r.n_train,
+        json.dumps(s.path_bin_width), bins, _nullable(s.population_size), label_text,
+        r.rejections, r.seed, s.test_weight, r.trial_id,
+    )
+
+
+def _write_records(path, config, results) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for res in results:
+            label = json.dumps(leg_table_label(config, res.leg))
+            fh.writelines(_record_line(label, r) for r in res.records)
 
 
 def _count(text: str) -> int:
@@ -470,112 +498,57 @@ def _count(text: str) -> int:
     return value
 
 
-# The int-keyed dicts, each with the check of an entry's value.
-_INT_KEYED = {
-    "error_hist": lambda v: type(v) is int,
-    "path_bins": lambda v: type(v) is list and len(v) == 2 and type(v[0]) is type(v[1]) is int,
-}
-
-
-def _json_object(value) -> dict:
-    if not isinstance(value, dict):
+def _int_keys(value, count) -> dict:
+    """A loaded JSON object, its keys read by `count`."""
+    if type(value) is not dict:
         raise TypeError(f"expected a JSON object, found {type(value).__name__}")
-    return value
+    return {count(k): v for k, v in value.items()}
 
 
-def _load(row: dict, names: Sequence[str]) -> dict:
-    """Each of `names` in a loaded JSON object, type-checked; int-keyed dicts get int keys."""
-    picked = {}
-    for name in names:
-        value = row[name]
-        entry_ok = _INT_KEYED.get(name)
-        if type(value) not in _LOADED_TYPES.get(name, (int,)) or (
-            value is not None and entry_ok is not None and not all(map(entry_ok, value.values()))
-        ):
-            raise TypeError(f"field {name!r} has the wrong type")
-        if value is not None and entry_ok is not None:
-            value = {_count(k): v for k, v in value.items()}
-        picked[name] = value
-    return picked
-
-
-def _load_bucket(row: dict) -> CardinalityBucket:
-    if row["leaf_hist"] is not None:
-        raise ValueError("leaf histograms are not tracked; leaf_hist must be null")
-    return CardinalityBucket(**_load(row, _BUCKET_FIELDS))
-
-
-def _line_template(names: Sequence[str]) -> str:
-    """`%` template of a JSON object keyed by `names` in `sort_keys` order:
-    "%d" for an int field, "%s" for any other, given as its JSON text."""
-    fields = (f'"{n}": %{"d" if n in _INT_FIELDS else "s"}' for n in sorted(names))
-    return "{%s}" % ", ".join(fields)
-
-
-_INT_FIELDS = {*_RECORD_FIELDS, *_SUMMARY_FIELDS, *_BUCKET_FIELDS} - _LOADED_TYPES.keys()
-_RECORD_LINE = _line_template(_RECORD_FIELDS + _SUMMARY_FIELDS + ("preset", "buckets")) + "\n"
-_BUCKET_LINE = _line_template(_BUCKET_FIELDS + ("leaf_hist",))
-_ENTRY = '"{}": {}'.format
-# Labels and bin widths keep JSON's string escapes and float repr.
-_ENCODER = json.JSONEncoder()
-
-
-def _int_keyed(d: dict | None, text: Callable | None = None) -> str:
-    """JSON text of a dict keyed by int, or null, its values written by `text`
-    or else by `str`.  Sorting the entries sorts them in the string order of
-    their keys: the quote closing a key sorts below every digit and "-"."""
-    if d is None:
-        return "null"
-    values = d.values() if text is None else map(text, d.values())
-    return "{%s}" % ", ".join(sorted(map(_ENTRY, d, values)))
-
-
-def _bucket_text(b: CardinalityBucket) -> str:
-    path = "null" if b.path_tests_total is None else b.path_tests_total
-    hist = _int_keyed(b.error_hist)
-    return _BUCKET_LINE % (b.correct_count, hist, "null", b.misclassified_total, path, b.tree_count)
-
-
-def _write_records(path, config, results) -> None:
-    # the values in _RECORD_LINE's sorted key order
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for res in results:
-            label = _ENCODER.encode(leg_table_label(config, res.leg))
-            for r in res.records:
-                s = r.summary
-                fh.write(_RECORD_LINE % (
-                    "true" if r.accepted else "false", _int_keyed(s.buckets, _bucket_text),
-                    "null" if r.min_size is None else r.min_size, r.n_test, r.n_train,
-                    _ENCODER.encode(s.path_bin_width), _int_keyed(s.path_bins),
-                    "null" if s.population_size is None else s.population_size, label,
-                    r.rejections, r.seed, s.test_weight, r.trial_id,
-                ))
+def _load_line(line: str) -> tuple[str, TrialRecord]:
+    # only a line with a "-" can hold a negative int; `_count` names it
+    count = _count if "-" in line else int
+    row = json.loads(line, parse_int=count)
+    buckets = _int_keys(row["buckets"], count)
+    for c, b in buckets.items():
+        if b["leaf_hist"] is not None:
+            raise ValueError("leaf histograms are not tracked; leaf_hist must be null")
+        hist = b["error_hist"]
+        buckets[c] = CardinalityBucket(
+            b["tree_count"], b["correct_count"], b["misclassified_total"],
+            None if hist is None else _int_keys(hist, count), b["path_tests_total"],
+        )
+    if type(row["preset"]) is not str or type(row["path_bin_width"]) not in (float, int, type(None)):
+        raise TypeError("preset is not a string, or path_bin_width not a number or null")
+    summary = ForestSummary(
+        buckets, row["test_weight"], row["population_size"], row["path_bin_width"],
+        None if row["path_bins"] is None else _int_keys(row["path_bins"], count),
+    )
+    record = TrialRecord(
+        row["trial_id"], row["seed"], row["n_train"], row["n_test"], row["min_size"],
+        summary, row["accepted"], row["rejections"],
+    )
+    if _record_line(json.dumps(row["preset"]), record) != line:
+        raise ValueError("not the line the writer writes for the record it holds")
+    if record.rejections != (0 if record.accepted else 1):
+        raise ValueError(f"{record.rejections} rejections in a trial that draws once")
+    if (broken := broken_identity(summary)) is not None:
+        raise ValueError(broken)
+    return row["preset"], record
 
 
 def load_trial_records(path) -> list[tuple[str, TrialRecord]]:
     """Read back a trial_records.jsonl dump as (table label, record) pairs.
-
-    Raises ExperimentError, naming the line, on a line that is not UTF-8
-    text or not a whole record, or that holds a negative int.
-    """
+    Raises ExperimentError, naming the line, unless `_record_line` writes each
+    line's record back byte for byte and its summary has no `broken_identity`."""
     out: list[tuple[str, TrialRecord]] = []
     with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             try:
-                line = line.decode("utf-8").strip()
-                if not line:
-                    continue
-                row = _json_object(json.loads(line, parse_int=_count))
-                buckets = {
-                    _count(c): _load_bucket(_json_object(b))
-                    for c, b in _json_object(row["buckets"]).items()
-                }
-                summary = ForestSummary(buckets=buckets, **_load(row, _SUMMARY_FIELDS))
-                record = TrialRecord(summary=summary, **_load(row, _RECORD_FIELDS))
-                out.append((_load(row, ("preset",))["preset"], record))
+                out.append(_load_line(line.decode("utf-8")))
             except KeyError as e:
                 raise ExperimentError(f"{path}: line {line_no}: missing field {e}") from None
-            except (TypeError, ValueError) as e:
+            except (ArithmeticError, RecursionError, TypeError, ValueError) as e:
                 raise ExperimentError(f"{path}: line {line_no}: {e}") from None
     return out
 

@@ -60,6 +60,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import mul
 from typing import Iterator
 
 from . import tree as treemod
@@ -403,13 +404,39 @@ class ForestSummary:
 
     @property
     def min_size(self) -> int | None:
-        present = [c for c, b in self.buckets.items() if b.tree_count]
-        return min(present) if present else None
+        return min((c for c, b in self.buckets.items() if b.tree_count), default=None)
 
     @property
     def max_size(self) -> int | None:
-        present = [c for c, b in self.buckets.items() if b.tree_count]
-        return max(present) if present else None
+        return max((c for c, b in self.buckets.items() if b.tree_count), default=None)
+
+
+def broken_identity(summary: ForestSummary) -> str | None:
+    """The first summary identity that `summary` breaks, or None; an empty forest breaks none."""
+    weight, bins = summary.test_weight, summary.path_bins
+    for c, b in summary.buckets.items():
+        trees, hist = b.tree_count, b.error_hist
+        if trees < 1:
+            return f"cardinality {c}: a bucket without trees"
+        if b.correct_count > trees:
+            return f"cardinality {c}: more correct trees than trees"
+        if b.misclassified_total > trees * weight:
+            return f"cardinality {c}: more errors than tree-test pairs"
+        if hist is None:
+            continue
+        if sum(hist.values()) != trees:
+            return f"cardinality {c}: error histogram mass != tree count"
+        if hist.get(0, 0) != b.correct_count:
+            return f"cardinality {c}: error histogram at 0 != correct count"
+        if sum(map(mul, hist, hist.values())) != b.misclassified_total:
+            return f"cardinality {c}: error histogram sum != misclassified total"
+        if max(hist) > weight:
+            return f"cardinality {c}: error count {max(hist)} above test weight {weight}"
+    if bins is not None and [sum(v[i] for v in bins.values()) for i in (0, 1)] != [
+        summary.total_trees, sum(b.misclassified_total for b in summary.buckets.values())
+    ]:
+        return "path bins do not hold every tree and error"
+    return None
 
 
 def forest_summary(

@@ -504,6 +504,26 @@ def test_policy_missing_records_file(tmp_path, capsys):
     assert code == EXIT_DATA
 
 
+def test_policy_refuses_a_record_no_run_could_write(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    code, _, _ = run_main(
+        capsys,
+        "experiment", "--concept", "xyz-or-ab", "--n-train", "20",
+        "--trials", "2", "--max-nodes", "8", "--out", str(out_dir), "--quiet",
+    )
+    assert code == EXIT_OK
+    dump = out_dir / "trial_records.jsonl"
+    first, second = dump.read_bytes().splitlines(keepends=True)
+    # a trial that draws once, edited to have been rejected five times
+    dump.write_bytes(first + second.replace(b'"rejections": 0', b'"rejections": 5'))
+    code, out, err = run_main(capsys, "policy", "--records", str(dump))
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: data: {dump}: line 2: 5 rejections in a trial that draws once"
+    ]
+
+
 # What the wrapper script generated for a [project.scripts] entry does.
 CONSOLE_WRAPPER = """\
 import importlib, sys

@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import pickle
 import pkgutil
+import re
 from xml.sax.saxutils import escape
 
 import pytest
@@ -501,13 +502,9 @@ def _dict_form(label, r):
 # int keys across 9, 99 and 999, where "10" sorts before "2"
 _KEYS = st.sampled_from((0, 1, 2, 9, 10, 11, 20, 99, 100, 101, 999, 1000, 1001)) | st.integers(0, 1100)
 _COUNTS = st.integers(0, 12) | st.integers(2**64 - 2, 2**66)  # and past 2**64
-_BUCKETS = st.builds(
-    CardinalityBucket,
-    tree_count=_COUNTS,
-    correct_count=_COUNTS,
-    misclassified_total=_COUNTS,
-    error_hist=st.none() | st.dictionaries(_KEYS, _COUNTS, max_size=4),
-    path_tests_total=st.none() | _COUNTS,
+# an error histogram holding at least one tree, or none
+_HISTS = st.none() | st.dictionaries(_KEYS, _COUNTS, min_size=1, max_size=4).filter(
+    lambda h: any(h.values())
 )
 # quotes, backslashes, control and non-ASCII characters
 _LABELS = st.text(st.sampled_from('a:"\\\n\x00é☃𝄞'), max_size=6)
@@ -515,14 +512,32 @@ _LABELS = st.text(st.sampled_from('a:"\\\n\x00é☃𝄞'), max_size=6)
 
 @st.composite
 def _records(draw):
+    """Records whose summaries obey `broken_identity`'s identities: the
+    counts of a bucket with a histogram are derived from it, and path bins
+    regroup the buckets' totals."""
+    hists = draw(st.dictionaries(_KEYS, _HISTS, max_size=4))
+    test_weight = max((k for h in hists.values() if h for k in h), default=0) + draw(_COUNTS)
+    buckets = {}
+    for c, hist in hists.items():
+        if hist is None:
+            trees = draw(_COUNTS.map(lambda n: n + 1))
+            counts = (trees, draw(st.integers(0, trees)), draw(st.integers(0, trees * test_weight)))
+        else:
+            counts = (sum(hist.values()), hist.get(0, 0), sum(k * n for k, n in hist.items()))
+        buckets[c] = CardinalityBucket(*counts, hist, draw(st.none() | _COUNTS))
+    path_bins = None
+    if draw(st.booleans()):
+        path_bins = {}
+        for b in buckets.values():
+            entry = path_bins.setdefault(draw(_KEYS), [0, 0])
+            entry[0] += b.tree_count
+            entry[1] += b.misclassified_total
     summary = ForestSummary(
-        buckets=draw(st.dictionaries(_KEYS, _BUCKETS, max_size=4)),
-        test_weight=draw(_COUNTS),
+        buckets=buckets,
+        test_weight=test_weight,
         population_size=draw(st.none() | _COUNTS),
         path_bin_width=draw(st.sampled_from((None, 0.25, 1, 0.1, 2.5))),
-        path_bins=draw(
-            st.none() | st.dictionaries(_KEYS, st.lists(_COUNTS, min_size=2, max_size=2), max_size=4)
-        ),
+        path_bins=path_bins,
     )
     accepted = draw(st.booleans())
     return TrialRecord(
@@ -577,37 +592,97 @@ def _without(row, field):
     return {k: v for k, v in row.items() if k != field}
 
 
-def _with_bucket_field(row, field, value):
-    first = next(iter(row["buckets"]))
-    return {**row, "buckets": {first: {**row["buckets"][first], field: value}}}
+def _with_bucket_field(row, field, value, card=None):
+    """`row` with one field of one bucket, by default the first, set to `value`."""
+    card = card or next(iter(row["buckets"]))
+    return {**row, "buckets": {**row["buckets"], card: {**row["buckets"][card], field: value}}}
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda row: json.dumps(_without(row, "preset")).encode(),
-        lambda row: json.dumps({**row, "buckets": list(row["buckets"].values())}).encode(),
-        lambda row: json.dumps({**row, "path_bins": list(row["path_bins"].values())}).encode(),
-        lambda row: json.dumps(row).encode() + b"\n\xff\xfe\n",
-        lambda row: json.dumps({**row, "preset": 1}).encode(),
-        lambda row: json.dumps(_with_bucket_field(row, "tree_count", "12")).encode(),
-        lambda row: json.dumps({**row, "accepted": "yes"}).encode(),
-    ],
-    ids=[
-        "no-preset",
-        "buckets-list",
-        "path-bins-list",
-        "not-utf8",
-        "int-preset",
-        "str-tree-count",
-        "str-accepted",
-    ],
-)
-def test_trial_records_loader_rejects_malformed_rows(tmp_path, record_row, make):
+def _line(row) -> bytes:
+    return json.dumps(row, sort_keys=True).encode() + b"\n"
+
+
+def _one_tree_at_70_errors(row):
+    """`row` with one tree of its last bucket moved to 70 errors, its
+    misclassified total moved to match: only the test weight, 12, disagrees."""
+    card, bucket = list(row["buckets"].items())[-1]
+    hist = dict(bucket["error_hist"])
+    worst = max(hist, key=int)
+    hist[worst] -= 1
+    hist["70"] = 1
+    misclassified = bucket["misclassified_total"] + 70 - int(worst)
+    row = _with_bucket_field(row, "error_hist", hist, card)
+    return _with_bucket_field(row, "misclassified_total", misclassified, card)
+
+
+# Each edit of a dumped record with the start of the refusal it meets.
+# Every line but the edited one is the line the writer wrote.
+_MALFORMED = {
+    "no-preset": (lambda row: _line(_without(row, "preset")), "line 1: missing field 'preset'"),
+    "buckets-list": (
+        lambda row: _line({**row, "buckets": list(row["buckets"].values())}),
+        "line 1: expected a JSON object, found list",
+    ),
+    "path-bins-list": (
+        lambda row: _line({**row, "path_bins": list(row["path_bins"].values())}),
+        "line 1: expected a JSON object, found list",
+    ),
+    "not-utf8": (lambda row: _line(row) + b"\xff\xfe\n", "line 2: 'utf-8' codec can't decode"),
+    "int-preset": (lambda row: _line({**row, "preset": 1}), "line 1: preset is not a string"),
+    "str-tree-count": (lambda row: _line(_with_bucket_field(row, "tree_count", "12")), "line 1: %d format"),
+    "str-accepted": (lambda row: _line({**row, "accepted": "yes"}), "line 1: not the line the writer"),
+    # a count edited while the error histogram keeps the old one
+    "tree-count-off-its-histogram": (
+        lambda row: _line(_with_bucket_field(row, "tree_count", 5)),
+        "line 1: cardinality 5: error histogram mass != tree count",
+    ),
+    "correct-count-over-trees": (
+        lambda row: _line(_with_bucket_field(row, "correct_count", 99_999)),
+        "line 1: cardinality 5: more correct trees than trees",
+    ),
+    "duplicate-key": (
+        lambda row: _line(row).replace(b'"accepted": true', b'"accepted": true, "accepted": true'),
+        "line 1: not the line the writer",
+    ),
+    "error-count-over-n-test": (
+        lambda row: _line(_one_tree_at_70_errors(row)),
+        "line 1: cardinality 8: error count 70 above test weight 12",
+    ),
+    "extra-key": (lambda row: _line({**row, "note": 1}), "line 1: not the line the writer"),
+    "whitespace": (lambda row: _line(row).replace(b", ", b",  ", 1), "line 1: not the line the writer"),
+    "five-rejections": (
+        lambda row: _line({**row, "rejections": 5}),
+        "line 1: 5 rejections in a trial that draws once",
+    ),
+    "reordered-key": (
+        lambda row: json.dumps({"trial_id": row["trial_id"], **_without(row, "trial_id")}).encode() + b"\n",
+        "line 1: not the line the writer",
+    ),
+    "float-tree-count": (
+        lambda row: _line(_with_bucket_field(row, "tree_count", 6.0)),
+        "line 1: not the line the writer",
+    ),
+    "infinite-tree-count": (
+        lambda row: _line(_with_bucket_field(row, "tree_count", float("inf"))),
+        "line 1: cannot convert float infinity to integer",
+    ),
+    "three-item-path-bin": (
+        lambda row: _line({**row, "path_bins": {k: [*v, 0] for k, v in row["path_bins"].items()}}),
+        "line 1: not all arguments converted",
+    ),
+    "trailing-blank-line": (lambda row: _line(row) + b"\n", "line 2: Expecting value"),
+}
+
+
+@pytest.mark.parametrize("make, refusal", _MALFORMED.values(), ids=_MALFORMED)
+def test_trial_records_loader_rejects_malformed_rows(tmp_path, record_row, make, refusal):
     p = tmp_path / "bad.jsonl"
     p.write_bytes(make(record_row))
-    with pytest.raises(ExperimentError):
+    with pytest.raises(ExperimentError, match=f": {re.escape(refusal)}"):
         load_trial_records(str(p))
+    # the unedited record loads
+    p.write_bytes(_line(record_row))
+    assert len(load_trial_records(str(p))) == 1
 
 
 @pytest.mark.parametrize(
