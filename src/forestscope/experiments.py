@@ -22,11 +22,13 @@ import json
 import os
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 from . import charts, stats
 from .dataset import (
     Dataset,
+    DatasetError,
     _subset,
     apply_concept,
     bundled_dataset,
@@ -50,6 +52,7 @@ from .forest import (
 )
 from .rng import SplitMix64, derive_seed
 from .stats import TrialRecord
+from .tree import leaf_partition
 
 _SPLIT_MODES = ("disjoint", "with_replacement", "leave_one_out")
 _ANALYSES = (
@@ -172,6 +175,17 @@ class _RunContext:
 def _prepare(config: ExperimentConfig) -> _RunContext:
     data = resolve_source(config.source)
     n = len(data.examples)
+    if n == 0:
+        raise DatasetError(f"{config.source}: no examples")
+    pool, need = None, 0
+    if config.leaf_coverage is not None:
+        m = min_consistent_size(data)
+        pool = tuple(iter_consistent(data, EnumerationLimits(max_nodes=m)))
+        # the rows a draw takes to cover the reference tree that needs the most
+        need = max(
+            sum(min(config.leaf_coverage, len(rows)) for rows in leaf_partition(ref, data))
+            for ref in pool
+        )
     for leg in config.legs:
         if config.split_mode == "leave_one_out":
             if leg.trial_count != n or leg.n_train != n - 1:
@@ -183,10 +197,11 @@ def _prepare(config: ExperimentConfig) -> _RunContext:
             raise ExperimentError(
                 f"leg {leg.label!r}: n_train {leg.n_train} leaves no test rows"
             )
-    pool = None
-    if config.leaf_coverage is not None:
-        m = min_consistent_size(data)
-        pool = tuple(iter_consistent(data, EnumerationLimits(max_nodes=m)))
+        elif leg.n_train < need:
+            raise ExperimentError(
+                f"leg {leg.label!r}: leaf coverage needs {need} examples "
+                f"but n_train is {leg.n_train}"
+            )
     population = None
     if config.path_bin_width is not None:
         population = tuple(instance_space(data.schema))
@@ -223,7 +238,8 @@ def _draw(ctx: _RunContext, leg: LegSpec, t: int, rng: SplitMix64):
     return train, test, True
 
 
-def _run_one(ctx: _RunContext, leg_index: int, t: int) -> TrialRecord:
+def _run_one(ctx: _RunContext, job: tuple[int, int]) -> TrialRecord:
+    leg_index, t = job
     config = ctx.config
     leg = config.legs[leg_index]
     scope = config.scope + (f":{leg.label}" if leg.label else "")
@@ -232,9 +248,8 @@ def _run_one(ctx: _RunContext, leg_index: int, t: int) -> TrialRecord:
     train, test, accepted = _draw(ctx, leg, t, rng)
     limits = EnumerationLimits(max_nodes=leg.max_nodes)
     track = TrackOptions(error_hist=config.error_hist, path_bins=config.path_bin_width)
-    population = list(ctx.population) if ctx.population is not None else None
     t0 = time.perf_counter()
-    summary = forest_summary(train, test, limits, population, track)
+    summary = forest_summary(train, test, limits, ctx.population, track)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return TrialRecord(
         trial_id=t,
@@ -247,18 +262,6 @@ def _run_one(ctx: _RunContext, leg_index: int, t: int) -> TrialRecord:
         rejections=0 if accepted else 1,  # each trial draws once
         wall_ms=wall_ms,
     )
-
-
-_WORKER_CTX: _RunContext | None = None
-
-
-def _worker_init(config: ExperimentConfig) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = _prepare(config)
-
-
-def _worker_run(job: tuple[int, int]) -> TrialRecord:
-    return _run_one(_WORKER_CTX, job[0], job[1])
 
 
 def select_legs(config: ExperimentConfig, include_optional: bool = False) -> ExperimentConfig:
@@ -284,20 +287,15 @@ def run_trials(
         for li, leg in enumerate(config.legs)
         for t in range(leg.trial_count)
     ]
+    run = partial(_run_one, ctx)
     workers = min(threads, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
-        records = (_run_one(ctx, li, t) for li, t in jobs)
-        collected = _collect(config, jobs, records, progress)
-    else:
-        import multiprocessing  # here, so a serial run never loads it
+        return _collect(config, jobs, map(run, jobs), progress)
+    import multiprocessing  # here, so a serial run never loads it
 
-        chunk = max(1, len(jobs) // (workers * 8))
-        with multiprocessing.Pool(
-            processes=workers, initializer=_worker_init, initargs=(config,)
-        ) as pool:
-            stream = pool.imap(_worker_run, jobs, chunksize=chunk)
-            collected = _collect(config, jobs, stream, progress)
-    return collected
+    chunk = max(1, len(jobs) // (workers * 8))
+    with multiprocessing.Pool(processes=workers) as pool:
+        return _collect(config, jobs, pool.imap(run, jobs, chunksize=chunk), progress)
 
 
 def _collect(config, jobs, records, progress) -> tuple[LegResult, ...]:

@@ -61,7 +61,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import tree as treemod
 from .dataset import Dataset, FeatureSchema, LabeledExample
@@ -443,7 +443,7 @@ def forest_summary(
     train: Dataset,
     test: Dataset | None = None,
     limits: EnumerationLimits = EnumerationLimits(),
-    population: list[tuple] | None = None,
+    population: Sequence[tuple] | None = None,
     track: TrackOptions = TrackOptions(),
     mode: str = "algebraic",
 ) -> ForestSummary:

@@ -1,6 +1,7 @@
 """Command-line surface: flags, output shapes, exit codes."""
 
 import importlib
+import itertools
 import os
 import shutil
 import subprocess
@@ -215,6 +216,43 @@ def test_bad_integers_and_empty_data_exit_without_a_traceback(tmp_path, capsys, 
     assert code == want
     assert "Traceback" not in err
     assert "error:" in err
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize(
+    "argv, want, category",
+    [
+        (
+            ["--data", "EMPTY", "--n-train", "3", "--split", "with_replacement",
+             "--test-size", "2"],
+            EXIT_DATA, "data",
+        ),
+        (["--preset", "fig8", "--data", "EMPTY"], EXIT_DATA, "data"),
+        # every minimum tree of 4-bit parity has 16 leaves of 2 rows, so
+        # covering each leaf twice takes all 32 rows, more than fig4's 20
+        (["--preset", "fig4", "--data", "PARITY4"], EXIT_CONFIG, "config"),
+    ],
+)
+def test_sources_no_trial_can_draw_from_are_refused_before_the_trials(
+    tmp_path, capsys, argv, want, category, threads
+):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("a=0|1,class=n|y\n", encoding="utf-8")
+    parity = tmp_path / "parity4.csv"
+    rows = [",".join(f"{c}=0|1" for c in "abcde") + ",class=n|y"]
+    rows += [
+        ",".join(map(str, x)) + "," + "ny"[sum(x[:4]) % 2]
+        for x in itertools.product((0, 1), repeat=5)
+    ]
+    parity.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    files = {"EMPTY": str(empty), "PARITY4": str(parity)}
+    argv = ["experiment"] + [files.get(a, a) for a in argv]
+    code = main(argv + ["--out", str(tmp_path / "run"), "--threads", threads, "--quiet"])
+    err = capsys.readouterr().err
+    assert code == want
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: {category}: ")
 
 
 # Each subcommand's integer options with the largest value drawn.  --threads

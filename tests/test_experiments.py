@@ -237,9 +237,8 @@ def test_worker_count_is_capped_by_trials_and_cpus(monkeypatch, threads, cpus, w
     class SerialPool:
         """Records the worker count it was asked for and maps in this process."""
 
-        def __init__(self, processes, initializer, initargs):
+        def __init__(self, processes):
             started.append(processes)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -252,11 +251,40 @@ def test_worker_count_is_capped_by_trials_and_cpus(monkeypatch, threads, cpus, w
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(experiments, "_WORKER_CTX", None)
     cfg = small_config()  # 6 trials
     got = run_trials(cfg, threads=threads)
     assert started == ([want] if want > 1 else [])
     assert strip_wall(got[0].records) == strip_wall(run_trials(cfg, threads=1)[0].records)
+
+
+def test_a_pooled_run_resolves_its_source_once(monkeypatch):
+    class InProcessPool:
+        """multiprocessing.Pool's constructor and imap, run in this process."""
+
+        def __init__(self, processes, initializer=None, initargs=()):
+            if initializer is not None:
+                initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    calls = []
+
+    def counted(source):
+        calls.append(source)
+        return resolve_source(source)
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "resolve_source", counted)
+    run_trials(small_config(), threads=2)
+    assert calls == ["concept:xyz-or-ab"]
 
 
 @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
