@@ -201,10 +201,6 @@ def _cmd_experiment(args) -> int:
             if args.data:
                 config = replace(config, source=f"file:{args.data}")
             if args.trials is not None:
-                if config.split_mode == "leave_one_out":
-                    return _fail(
-                        EXIT_CONFIG, "config", "leave-one-out presets fix their trial count"
-                    )
                 config = replace(
                     config,
                     legs=tuple(replace(l, trial_count=args.trials) for l in config.legs),
@@ -335,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="dataset file")
     p.add_argument("--max-nodes", type=_non_negative, default=None, help="split budget")
     p.add_argument(
-        "--max-trees", type=_non_negative, default=50_000_000,
+        "--max-trees", type=_non_negative, default=EnumerationLimits.max_trees,
         help="safety cap on the trees --emit-trees prints, 0 = none; ignored without it",
     )
     p.add_argument("--emit-trees", action="store_true", help="print each tree")
@@ -344,7 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a preset or custom experiment")
     p.add_argument("--preset", help="preset name (see docs)")
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--trials", type=int, default=None, help="override trials per leg")
+    p.add_argument(
+        "--trials", type=int, default=None,
+        help="override trials per leg; a leave-one-out leg runs one trial per source row",
+    )
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--charts", action="store_true", help="also write SVG charts")
     p.add_argument(

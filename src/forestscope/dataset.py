@@ -409,15 +409,21 @@ def _subset(data: Dataset, indices: Sequence[int]) -> Dataset:
     return out
 
 
+def _partition(data: Dataset, chosen: set[int]) -> tuple[Dataset, Dataset]:
+    """The rows in `chosen`, then the other rows, each in source order."""
+    rows = range(len(data.examples))
+    return (
+        _subset(data, [i for i in rows if i in chosen]),
+        _subset(data, [i for i in rows if i not in chosen]),
+    )
+
+
 def split_disjoint(data: Dataset, n_train: int, rng: SplitMix64) -> tuple[Dataset, Dataset]:
     """Uniform train/test partition; both sides keep source row order."""
     n = len(data.examples)
     if not 0 < n_train < n:
         raise ValueError(f"n_train must be in (0, {n}), got {n_train}")
-    chosen = set(rng.sample_indices(n, n_train))
-    train = [i for i in range(n) if i in chosen]
-    test = [i for i in range(n) if i not in chosen]
-    return _subset(data, train), _subset(data, test)
+    return _partition(data, set(rng.sample_indices(n, n_train)))
 
 
 def sample_with_replacement(data: Dataset, n: int, rng: SplitMix64) -> Dataset:
@@ -504,6 +510,4 @@ def leaf_coverage_sample(
     fill = n_train - len(chosen)
     for pick in rng.sample_indices(len(rest), fill):
         chosen.add(rest[pick])
-    train = [i for i in range(n) if i in chosen]
-    test = [i for i in range(n) if i not in chosen]
-    return _subset(data, train), _subset(data, test)
+    return _partition(data, chosen)

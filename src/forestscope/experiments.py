@@ -29,7 +29,7 @@ from . import charts, stats
 from .dataset import (
     Dataset,
     DatasetError,
-    _subset,
+    _partition,
     apply_concept,
     bundled_dataset,
     get_concept,
@@ -93,7 +93,7 @@ class ExperimentConfig:
     leaf_coverage: int | None = None
     master_seed: int = 0
     seed_scope: str = ""
-    max_trees: int = 50_000_000  # read only by perfbench/workloads.py; trials ignore it
+    max_trees: int = EnumerationLimits.max_trees  # read only by perfbench/workloads.py
     error_hist: bool = True
     leaf_hist: bool = False  # read only by perfbench/workloads.py; must be False
     path_bin_width: float | None = None
@@ -210,16 +210,11 @@ def _prepare(config: ExperimentConfig) -> _RunContext:
     )
 
 
-def _split_leave_one_out(data: Dataset, t: int) -> tuple[Dataset, Dataset]:
-    rest = [i for i in range(len(data.examples)) if i != t]
-    return _subset(data, rest), _subset(data, (t,))
-
-
 def _draw(ctx: _RunContext, leg: LegSpec, t: int, rng: SplitMix64):
     """Returns (train, test, accepted).  Draw order is fixed."""
     config = ctx.config
     if config.split_mode == "leave_one_out":
-        train, test = _split_leave_one_out(ctx.data, t)
+        test, train = _partition(ctx.data, {t})
         return train, test, True
     if config.split_mode == "with_replacement":
         train = sample_with_replacement(ctx.data, leg.n_train, rng)
@@ -259,7 +254,6 @@ def _run_one(ctx: _RunContext, job: tuple[int, int]) -> TrialRecord:
         min_size=summary.min_size,
         summary=summary,
         accepted=accepted,
-        rejections=0 if accepted else 1,  # each trial draws once
         wall_ms=wall_ms,
     )
 
@@ -322,59 +316,56 @@ def emit_all(
     out_dir: str,
     with_charts: bool = False,
 ) -> list[str]:
-    """Write every requested table (plus manifest and record dump).
+    """Write every requested table that has rows, then the manifest and the
+    record dump, then the charts of the charted tables.
 
-    Returns the written paths.  Accepted trials feed the analyses; the
-    manifest and the record dump keep every trial.
+    Returns the written paths, in that order.  Accepted trials feed the
+    analyses; the manifest and the record dump keep every trial.
     """
     os.makedirs(out_dir, exist_ok=True)
-    written: list[str] = []
-    seed = config.master_seed
-
-    def out(name: str) -> str:
-        path = os.path.join(out_dir, name)
-        written.append(path)
-        return path
-
-    card, pair, policy, path = [], [], [], []
+    analyses, seed = config.analyses, config.master_seed
+    requests = [("all", None)] if "pairwise_all" in analyses else []
+    if "pairwise_min" in analyses:
+        conditions = config.pairwise_conditions
+        requests += [("min", (k,)) for k in conditions] if conditions else [("min", None)]
+    card, pair = stats.CARDINALITY_TABLE, stats.PAIRWISE_TABLE
+    policy, lengths = stats.POLICY_TABLE, stats.PATH_LENGTH_TABLE
+    sections: dict[stats.Table, list] = {card: [], pair: [], policy: [], lengths: []}  # write order
     for res in results:
-        label = leg_table_label(config, res.leg)
         used = res.accepted_records()
         if not used:
             continue
+        label = leg_table_label(config, res.leg)
         key = (label, seed)
-        if "cardinality" in config.analyses:
-            card.append((key, stats.aggregate_by_cardinality(used)))
-        if "min_size_groups" in config.analyses:
-            for m, group in stats.group_by_min_size(used).items():
-                card.append(((f"{label}:min{m}", seed), group.rows))
-        pair_runs = []
-        if "pairwise_all" in config.analyses:
-            pair_runs.append(("all", None))
-        if "pairwise_min" in config.analyses:
-            pair_runs += [("min", k) for k in config.pairwise_conditions or (None,)]
-        requests = [(baseline, None if k is None else (k,)) for baseline, k in pair_runs]
-        for (baseline, k), rows in zip(pair_runs, stats.pairwise_tables(used, requests)):
-            pair.append((key + (baseline, "" if k is None else str(k)), rows))
-        if "policy" in config.analyses:
-            policy.append((key, stats.derive_policy(used)))
-        if "path_length" in config.analyses:
-            path.append((key, stats.bin_by_path_length(used, config.path_bin_width)))
-    tables = [
-        (stats.CARDINALITY_TABLE, card),
-        (stats.PAIRWISE_TABLE, pair),
-        (stats.POLICY_TABLE, policy),
-        (stats.PATH_LENGTH_TABLE, path),
+        if "cardinality" in analyses:
+            sections[card].append((key, stats.aggregate_by_cardinality(used)))
+        if "min_size_groups" in analyses:
+            sections[card] += (
+                ((f"{label}:min{m}", seed), group.rows)
+                for m, group in stats.group_by_min_size(used).items()
+            )
+        sections[pair] += (
+            (key + (baseline, "" if sizes is None else str(sizes[0])), rows)
+            for (baseline, sizes), rows in zip(requests, stats.pairwise_tables(used, requests))
+        )
+        if "policy" in analyses:
+            sections[policy].append((key, stats.derive_policy(used)))
+        if "path_length" in analyses:
+            sections[lengths].append((key, stats.bin_by_path_length(used, config.path_bin_width)))
+    files = [(f"{t.name}.csv", stats.write_table, (t, s)) for t, s in sections.items() if s]
+    files += [
+        ("run_manifest.csv", _write_manifest, (config, results)),
+        ("trial_records.jsonl", _write_records, (config, results)),
     ]
-    tables = [(table, sections) for table, sections in tables if sections]
-    for table, sections in tables:
-        stats.write_table(out(f"{table.name}.csv"), table, sections)
-    _write_manifest(out("run_manifest.csv"), config, results)
-    _write_records(out("trial_records.jsonl"), config, results)
     if with_charts:
-        for table, sections in tables:
-            if table.name in _CHARTS:
-                _write_chart(out(f"{table.name}.svg"), _CHARTS[table.name], sections)
+        files += [
+            (f"{t.name}.svg", _write_chart, (_CHARTS[t], s))
+            for t, s in sections.items() if s and t in _CHARTS
+        ]
+    written = []
+    for name, write, args in files:
+        written.append(os.path.join(out_dir, name))
+        write(written[-1], *args)
     return written
 
 
@@ -394,11 +385,11 @@ def _write_manifest(path, config, results) -> None:
 # Each charted table's title, axis labels, x column and (y column, series
 # suffix) pairs.  A chart draws one series per section and y column.
 _CHARTS = {
-    "cardinality_stats": (
+    stats.CARDINALITY_TABLE: (
         "error by tree size", "node cardinality", "mean error",
         "node_cardinality", (("mean_error", ""),),
     ),
-    "pairwise": (
+    stats.PAIRWISE_TABLE: (
         "pairwise outcome shares", "cardinality difference", "probability",
         "diff",
         (
@@ -407,7 +398,7 @@ _CHARTS = {
             ("p_larger_better", " larger wins"),
         ),
     ),
-    "path_length": (
+    stats.PATH_LENGTH_TABLE: (
         "error by path length", "average path length", "mean error",
         "bin_center", (("mean_error", ""),),
     ),
@@ -524,12 +515,12 @@ def _load_line(line: str) -> tuple[str, TrialRecord]:
     )
     record = TrialRecord(
         row["trial_id"], row["seed"], row["n_train"], row["n_test"], row["min_size"],
-        summary, row["accepted"], row["rejections"],
+        summary, row["accepted"],
     )
+    if row["rejections"] != record.rejections:
+        raise ValueError(f"{row['rejections']} rejections in a trial that draws once")
     if _record_line(json.dumps(row["preset"]), record) != line:
         raise ValueError("not the line the writer writes for the record it holds")
-    if record.rejections != (0 if record.accepted else 1):
-        raise ValueError(f"{record.rejections} rejections in a trial that draws once")
     if (broken := broken_identity(summary)) is not None:
         raise ValueError(broken)
     return row["preset"], record

@@ -725,10 +725,10 @@ class _CountAlgebra:
     def tables(self, profile: dict[int, int]):
         """Buckets (and path bins) of a profile, in one pass over its sorted
         keys; a bucket's totals are summed in locals and stored at its end."""
-        buckets: dict[int, CardinalityBucket] = {}
-        bins: dict[int, list[int]] | None = {} if self.width is not None else None
         split_shift, misc_shift, misc_mask = self.split_shift, self.misc_shift, self.misc_mask
         use_path, path_mask, npop, width = self.use_path, self.path_mask, self.npop, self.width
+        buckets: dict[int, CardinalityBucket] = {}
+        bins: dict[int, list[int]] | None = {} if use_path else None
         b = None
         end = 0  # the first key past the current bucket
         for k in sorted(profile):  # ints sort much faster than (key, count) pairs
@@ -755,10 +755,9 @@ class _CountAlgebra:
             if use_path:
                 path = k & path_mask
                 b.path_tests_total += path * cnt
-                if bins is not None:
-                    slot = bins.setdefault(_path_bin(path, npop, width), [0, 0])
-                    slot[0] += cnt
-                    slot[1] += misc * cnt
+                slot = bins.setdefault(_path_bin(path, npop, width), [0, 0])
+                slot[0] += cnt
+                slot[1] += misc * cnt
         if b is not None:
             b.tree_count, b.correct_count, b.misclassified_total = trees, correct, wrong
         return buckets, bins

@@ -49,7 +49,6 @@ class TrialRecord:
     min_size: int | None
     summary: ForestSummary
     accepted: bool = True
-    rejections: int = 0
     wall_ms: float = 0.0
 
     def __post_init__(self):
@@ -63,6 +62,11 @@ class TrialRecord:
                 f"n_test {self.n_test} disagrees with summary test weight "
                 f"{self.summary.test_weight}"
             )
+
+    @property
+    def rejections(self) -> int:
+        """Refused draws: a trial draws once, so 1 if it is not accepted."""
+        return int(not self.accepted)
 
     def present_cardinalities(self) -> list[int]:
         return sorted(c for c, b in self.summary.buckets.items() if b.tree_count)

@@ -18,6 +18,7 @@ trees need a deterministic order.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -190,21 +191,8 @@ def format_tree(node: Node, schema: FeatureSchema) -> str:
     return f"({name} {' '.join(parts)})"
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    atom: list[str] = []
-    for ch in text:
-        if ch in "()[]:" or ch.isspace():
-            if atom:
-                tokens.append("".join(atom))
-                atom = []
-            if not ch.isspace():
-                tokens.append(ch)
-        else:
-            atom.append(ch)
-    if atom:
-        tokens.append("".join(atom))
-    return tokens
+# a token is one structural character, or a run of other non-space characters
+_tokens = re.compile(r"[()\[\]:]|[^()\[\]:\s]+").findall
 
 
 def parse_tree(text: str, schema: FeatureSchema) -> Node:
@@ -212,7 +200,7 @@ def parse_tree(text: str, schema: FeatureSchema) -> Node:
 
     Children must appear once per value, in the schema's declared order.
     """
-    tokens = _tokenize(text)
+    tokens = _tokens(text)
     pos = 0
 
     def expect(tok: str) -> None:

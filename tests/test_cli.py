@@ -427,12 +427,27 @@ def test_experiment_rejects_zero_trials(tmp_path, capsys):
 
 
 def test_experiment_rejects_trial_override_for_loo(tmp_path, capsys):
+    # a leave-one-out leg runs one trial per row of its 32-row source
     code, _, err = run_main(
         capsys,
         "experiment", "--preset", "fig5", "--trials", "7",
         "--out", str(tmp_path / "x"), "--quiet",
     )
     assert code == EXIT_CONFIG
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: config: ")
+    assert "trial_count=32" in lines[0]
+    assert not (tmp_path / "x").exists()
+
+
+def test_experiment_accepts_the_trial_count_loo_needs(tmp_path, capsys):
+    code, _, err = run_main(
+        capsys,
+        "experiment", "--preset", "fig5", "--trials", "32",
+        "--out", str(tmp_path / "x"), "--quiet",
+    )
+    assert code == EXIT_OK, err
+    assert len((tmp_path / "x" / "run_manifest.csv").read_text().splitlines()) == 1 + 32
 
 
 def test_experiment_fig15_needs_data(tmp_path, capsys):

@@ -423,9 +423,20 @@ def test_every_table_header_is_pinned(tmp_path):
         "path_length.csv": "preset,seed,bin_center,mean_error,tree_count",
         "run_manifest.csv": "preset,seed,trial_id,accepted,min_size,total_trees",
     }
-    svgs = ["cardinality_stats.svg", "pairwise.svg", "path_length.svg"]
-    names = [os.path.basename(p) for p in written]
-    assert sorted(names) == sorted([*headers, "trial_records.jsonl", *svgs])
+    # the CLI prints these as its `wrote` lines: the tables in a fixed
+    # order, then the manifest and the dump, then the charts
+    order = [
+        "cardinality_stats.csv",
+        "pairwise.csv",
+        "policy.csv",
+        "path_length.csv",
+        "run_manifest.csv",
+        "trial_records.jsonl",
+        "cardinality_stats.svg",
+        "pairwise.svg",
+        "path_length.svg",
+    ]
+    assert written == [os.path.join(str(out), name) for name in order]
     for name, header in headers.items():
         lines = (out / name).read_text().splitlines()
         assert lines[0] == header
@@ -443,6 +454,24 @@ def test_emit_all_can_render_charts(tmp_path):
     assert svgs
     body = open(svgs[0]).read()
     assert body.startswith("<svg") and "polyline" in body
+
+
+# SHA-256 of fig9's charts at seed 9.  A chart's coordinates are floats
+# formatted to fixed places, so a change to them is a change of output.
+_PINNED_CHART_DIGESTS = {
+    "cardinality_stats.svg": "f122b6964b5313d089282b61fe1eb2b8b93def1b46d12d599cd01bebb239badc",
+    "path_length.svg": "7ea24139c738408c8468e074c9ea581084f6af108253f99a2e589b6964af069d",
+}
+
+
+def test_fig9_charts_keep_their_bytes(tmp_path):
+    cfg = _pinned_config("fig9")
+    emit_all(cfg, run_trials(cfg, threads=1), str(tmp_path), with_charts=True)
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in _PINNED_CHART_DIGESTS
+    }
+    assert got == _PINNED_CHART_DIGESTS
 
 
 def test_chart_labels_escape_markup_characters_only(tmp_path):
@@ -489,6 +518,16 @@ def test_trial_records_round_trip(tmp_path):
         if config is fig2:
             assert [r.trial_id for r in records if not r.accepted] == [2, 4]
             assert [r.rejections for r in records] == [0, 0, 1, 0, 1, 0]
+
+
+def test_an_unaccepted_record_needs_no_rejection_count(tmp_path):
+    cfg = small_config()
+    r = run_trials(cfg)[0].records[0]
+    record = TrialRecord(r.trial_id, r.seed, r.n_train, r.n_test, r.min_size, r.summary, accepted=False)
+    path = tmp_path / "records.jsonl"
+    experiments._write_records(path, cfg, (LegResult(cfg.legs[0], (record,)),))
+    assert b'"rejections": 1' in path.read_bytes()
+    assert load_trial_records(path) == [("unit", record)]
 
 
 def _dict_form(label, r):
@@ -567,7 +606,6 @@ def _records(draw):
         path_bin_width=draw(st.sampled_from((None, 0.25, 1, 0.1, 2.5))),
         path_bins=path_bins,
     )
-    accepted = draw(st.booleans())
     return TrialRecord(
         trial_id=draw(_COUNTS),
         seed=draw(_COUNTS),
@@ -575,8 +613,7 @@ def _records(draw):
         n_test=summary.test_weight,
         min_size=summary.min_size,
         summary=summary,
-        accepted=accepted,
-        rejections=0 if accepted else 1,
+        accepted=draw(st.booleans()),
     )
 
 

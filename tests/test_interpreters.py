@@ -57,7 +57,8 @@ def _run_presets(python: str, out: Path) -> None:
         subprocess.Popen(
             [
                 python, "-m", "forestscope.cli", "experiment", "--preset", name,
-                "--seed", "9", "--threads", "1", "--quiet", "--out", str(out / name), *flags,
+                "--seed", "9", "--threads", "1", "--quiet", "--charts", "--out", str(out / name),
+                *flags,
             ],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
         )
@@ -80,7 +81,8 @@ def test_outputs_are_byte_identical_under_every_other_interpreter(tmp_path):
         )
     _run_presets(sys.executable, tmp_path / "this")
     want = _outputs(tmp_path / "this")
-    assert len(want) == 3 * len(PRESETS) + 1  # fig9 adds path_length.csv
+    # three files and one chart each; fig9 adds path_length.csv and its chart
+    assert len(want) == 4 * len(PRESETS) + 2
     for i, python in enumerate(others):
         _run_presets(python, tmp_path / f"other{i}")
         got = _outputs(tmp_path / f"other{i}")

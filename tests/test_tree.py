@@ -172,6 +172,38 @@ def test_format_parse_round_trip(seed):
     assert parse_tree(format_tree(t, SCHEMA3), SCHEMA3) == t
 
 
+def _text_tokens(node, schema):
+    """The tokens of a tree's text form, built from the tree itself."""
+    if isinstance(node, Leaf):
+        return ["[", schema.classes[node.label], "]"]
+    tokens = ["(", schema.feature_name(node.feature)]
+    for value, child in zip(schema.values(node.feature), node.children):
+        tokens += [value, ":", *_text_tokens(child, schema)]
+    return tokens + [")"]
+
+
+# ASCII and Unicode whitespace, the separators included
+_SPACE = st.sampled_from(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000")
+
+
+@pytest.mark.property_based
+@given(st.integers(0, 2**32), st.data())
+@settings(max_examples=100)
+def test_parse_ignores_whitespace_between_tokens(seed, data):
+    from forestscope.rng import SplitMix64
+
+    r = SplitMix64(seed)
+    t = _random_tree(r.below, SCHEMA3, (0, 1), 3)
+    tokens = _text_tokens(t, SCHEMA3)
+    text = ""
+    for before, tok in zip([None, *tokens], tokens):
+        # two atoms in a row need whitespace between them
+        atoms = before is not None and {before, tok}.isdisjoint("()[]:")
+        text += data.draw(st.text(_SPACE, min_size=int(atoms), max_size=3)) + tok
+    text += data.draw(st.text(_SPACE, max_size=3))
+    assert parse_tree(text, SCHEMA3) == t
+
+
 @pytest.mark.property_based
 @given(st.integers(0, 2**32))
 @settings(max_examples=100)
