@@ -213,12 +213,10 @@ def _cmd_experiment(args) -> int:
 
     totals = {leg.label: leg.trial_count for leg in config.legs}
     tags = {leg.label: experiments.leg_table_label(config, leg) for leg in config.legs}
-    seen = {leg.label: 0 for leg in config.legs}
 
     def progress(label: str, record) -> None:
-        seen[label] += 1
         print(
-            f"{tags[label]} trial {seen[label]}/{totals[label]} "
+            f"{tags[label]} trial {record.trial_id + 1}/{totals[label]} "
             f"min={record.min_size} trees={record.summary.total_trees} "
             f"{record.wall_ms:.1f}ms",
             file=sys.stderr,

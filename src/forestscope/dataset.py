@@ -476,29 +476,27 @@ def representative_filter(
 
 def leaf_coverage_sample(
     data: Dataset,
-    reference_tree,
+    leaf_rows: Sequence[Sequence[int]],
     per_leaf: int,
     n_train: int,
     rng: SplitMix64,
 ) -> tuple[Dataset, Dataset]:
     """Train set forced to cover every leaf of a reference tree.
 
-    For each leaf in depth-first order, min(per_leaf, reached) examples are
-    drawn without replacement from the examples the leaf receives; the train
-    set is then filled to n_train uniformly from the rest.  Test is the
-    remainder.  Draw order (leaves in tree order, then the fill) is part of
-    the determinism contract.
+    `leaf_rows` holds the indices of the examples each leaf of the tree
+    receives, leaves in depth-first order (`tree.leaf_partition`).  For each
+    leaf in that order, min(per_leaf, reached) examples are drawn without
+    replacement from its rows; the train set is then filled to n_train
+    uniformly from the rest.  Test is the remainder.  Draw order (leaves in
+    tree order, then the fill) is part of the determinism contract.
     """
-    from . import tree as _tree
-
     n = len(data.examples)
     if not 0 < n_train < n:
         raise ValueError(f"n_train must be in (0, {n}), got {n_train}")
     if per_leaf < 1:
         raise ValueError("per_leaf must be at least 1")
-    groups = _tree.leaf_partition(reference_tree, data)
     chosen: set[int] = set()
-    for reached in groups:
+    for reached in leaf_rows:
         take = min(per_leaf, len(reached))
         for pick in rng.sample_indices(len(reached), take):
             chosen.add(reached[pick])

@@ -23,7 +23,7 @@ import os
 import time
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 from . import charts, stats
 from .dataset import (
@@ -93,12 +93,13 @@ class ExperimentConfig:
     leaf_coverage: int | None = None
     master_seed: int = 0
     seed_scope: str = ""
-    max_trees: int = EnumerationLimits.max_trees  # read only by perfbench/workloads.py
     error_hist: bool = True
-    leaf_hist: bool = False  # read only by perfbench/workloads.py; must be False
     path_bin_width: float | None = None
     analyses: tuple[str, ...] = ("cardinality",)
     pairwise_conditions: tuple[int, ...] = ()
+    # constants, not fields: no run sets them; only perfbench/workloads.py reads them
+    max_trees: ClassVar[int] = EnumerationLimits.max_trees
+    leaf_hist: ClassVar[bool] = False
 
     def __post_init__(self):
         if not self.legs:
@@ -131,8 +132,6 @@ class ExperimentConfig:
             raise ExperimentError("path_length analysis needs path_bin_width")
         if self.path_bin_width is not None and self.path_bin_width <= 0:
             raise ExperimentError("path_bin_width must be positive")
-        if self.leaf_hist:
-            raise ExperimentError("leaf histograms are not tracked")
         needs_hist = {"pairwise_all", "pairwise_min"} & set(self.analyses)
         if needs_hist and not self.error_hist:
             raise ExperimentError("pairwise analyses need error histograms")
@@ -168,7 +167,7 @@ class LegResult:
 class _RunContext:
     config: ExperimentConfig
     data: Dataset
-    reference_pool: tuple | None  # minimum-size trees of the full dataset
+    reference_leaf_rows: tuple | None  # each minimum tree's rows per leaf
     population: tuple | None
 
 
@@ -177,14 +176,14 @@ def _prepare(config: ExperimentConfig) -> _RunContext:
     n = len(data.examples)
     if n == 0:
         raise DatasetError(f"{config.source}: no examples")
-    pool, need = None, 0
+    leaf_rows, need = None, 0
     if config.leaf_coverage is not None:
-        m = min_consistent_size(data)
-        pool = tuple(iter_consistent(data, EnumerationLimits(max_nodes=m)))
+        refs = iter_consistent(data, EnumerationLimits(max_nodes=min_consistent_size(data)))
+        leaf_rows = tuple(leaf_partition(ref, data) for ref in refs)
         # the rows a draw takes to cover the reference tree that needs the most
         need = max(
-            sum(min(config.leaf_coverage, len(rows)) for rows in leaf_partition(ref, data))
-            for ref in pool
+            sum(min(config.leaf_coverage, len(rows)) for rows in groups)
+            for groups in leaf_rows
         )
     for leg in config.legs:
         if config.split_mode == "leave_one_out":
@@ -206,7 +205,7 @@ def _prepare(config: ExperimentConfig) -> _RunContext:
     if config.path_bin_width is not None:
         population = tuple(instance_space(data.schema))
     return _RunContext(
-        config=config, data=data, reference_pool=pool, population=population
+        config=config, data=data, reference_leaf_rows=leaf_rows, population=population
     )
 
 
@@ -221,9 +220,9 @@ def _draw(ctx: _RunContext, leg: LegSpec, t: int, rng: SplitMix64):
         test = sample_with_replacement(ctx.data, config.test_size, rng)
         return train, test, True
     if config.leaf_coverage is not None:
-        reference = ctx.reference_pool[rng.below(len(ctx.reference_pool))]
+        rows = ctx.reference_leaf_rows
         train, test = leaf_coverage_sample(
-            ctx.data, reference, config.leaf_coverage, leg.n_train, rng
+            ctx.data, rows[rng.below(len(rows))], config.leaf_coverage, leg.n_train, rng
         )
         return train, test, True
     train, test = split_disjoint(ctx.data, leg.n_train, rng)

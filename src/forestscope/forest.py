@@ -118,8 +118,8 @@ class _Router:
     it was built, so the rows are not hashed a second time here.
     `row_class` is built on first use, from the same runs as the masks: only
     training rows are ever tested for purity.  `inst_mask` (one bit per
-    distinct instance, its first row, for the bounds that count instances)
-    and `n` (their number) are built on first use too.
+    distinct instance, its first row, for the walk's bounds that count
+    instances) is built on first use too.
     """
 
     def __init__(self, data: Dataset):
@@ -154,10 +154,6 @@ class _Router:
             first.setdefault(inst, 1 << pos)
         return sum(first.values())
 
-    @property
-    def n(self) -> int:
-        return self.inst_mask.bit_count()
-
     def sole_class(self, bits: int) -> int | None:
         """The single class with weight in `bits`, or None if impure or empty."""
         if not bits:
@@ -185,7 +181,7 @@ def iter_consistent(train: Dataset, limits: EnumerationLimits = EnumerationLimit
     generators are module functions, not closures calling themselves by
     name, so a walk however it ends leaves no cycle for the collector."""
     r, root_min, fewest = _fewest_splits(train)
-    cap = _effective_cap(limits.max_nodes, r.n)
+    cap = _effective_cap(limits.max_nodes, train.distinct_instances())
     all_features = (1 << len(r.arities)) - 1
     count = 0
     for size in range(min(root_min, cap + 1), cap + 1):
@@ -522,11 +518,11 @@ def _summary_stream(train, test, limits, population, track):
 
 def _summary_algebraic(train, test, limits, pop, track):
     """(buckets, path bins) of the forest, by one `_solve` pass."""
-    tr = _Router(train)
-    if tr.n == 0:
+    if not train.examples:
         raise ValueError("training set is empty")
+    tr = _Router(train)
     te = _Router(test if test is not None else Dataset(train.schema, ()))
-    cap = _effective_cap(limits.max_nodes, tr.n)
+    cap = _effective_cap(limits.max_nodes, train.distinct_instances())
     use_path = track.path_bins is not None
     if test is not None and not (track.error_hist or use_path):
         alg = _TotalsAlgebra(train.schema.arities, cap, te.full.bit_count())
@@ -826,11 +822,14 @@ class _TotalsAlgebra:
 
 @lru_cache(maxsize=64)
 def _slot_width(arities: tuple[int, ...], cap: int, test_weight: int) -> int:
-    """Bits per `_TotalsAlgebra` slot: one more than those of B * max(1, test
-    weight), B bounding the trees of one size within the cap of a subproblem
-    or open children's product: the lesser of T(F), T(k) = 1 + k T(k-1)^A
-    over k features (A the largest arity), and the A-ary shapes of up to cap
-    splits with a feature on each, sum F^s binom(A s, s) / ((A-1) s + 1)."""
+    """Bits per `_TotalsAlgebra` slot: those of B * max(1, test weight), B
+    bounding the trees of one size within the cap of a subproblem or open
+    children's product: the lesser of T(F), T(k) = 1 + k T(k-1)^A over k
+    features (A the largest arity), and the A-ary shapes of up to cap splits
+    with a feature on each, sum F^s binom(A s, s) / ((A-1) s + 1).  B bounds
+    the trees of one size after a product, a closed-leaf fold and a merge of
+    splits alike, so every kept slot (trees, error-free trees <= trees, error
+    sum <= trees * test weight) fits in that value's `bit_length()`."""
     a, f = max(arities), len(arities)
     capped_bits = cap * (3 * f * a).bit_length() + (cap + 1).bit_length()  # terms < (3FA)^s
     depth = k = 1
@@ -840,7 +839,7 @@ def _slot_width(arities: tuple[int, ...], cap: int, test_weight: int) -> int:
     while s <= cap and capped < depth:  # only until past T(F)
         capped += f**s * math.comb(a * s, s) // ((a - 1) * s + 1)
         s += 1
-    return (min(depth, capped) * max(1, test_weight)).bit_length() + 1
+    return (min(depth, capped) * max(1, test_weight)).bit_length()
 
 
 class _MinSizeAlgebra:
@@ -871,9 +870,9 @@ def _fewest_splits(train: Dataset):
     """One min-plus pass: the router, the fewest splits of any consistent
     tree (inf when none), and the memo `fewest[usable][rows]` holding that
     fewest for every impure subproblem reachable below the root."""
-    r = _Router(train)
-    if r.n == 0:
+    if not train.examples:
         raise ValueError("training set is empty")
+    r = _Router(train)
     return (r, *_solve(_MinSizeAlgebra(), r, _Router(Dataset(train.schema, ())), None))
 
 
@@ -883,5 +882,5 @@ def min_consistent_size(train: Dataset, max_nodes: int | None = None) -> int | N
     Returns None when no consistent tree exists within the cap (including
     the infeasible-data case, where none exists at any size).
     """
-    r, size, _ = _fewest_splits(train)
-    return size if size <= _effective_cap(max_nodes, r.n) else None
+    _, size, _ = _fewest_splits(train)
+    return size if size <= _effective_cap(max_nodes, train.distinct_instances()) else None

@@ -397,6 +397,22 @@ def test_experiment_quiet_silences_progress(tmp_path, capsys):
     assert code == EXIT_OK and err == ""
 
 
+def test_progress_lines_count_each_legs_trials_in_order(tmp_path, capsys):
+    code, _, err = run_main(
+        capsys,
+        "experiment", "--preset", "fig14", "--seed", "9", "--trials", "3",
+        "--threads", "2", "--out", str(tmp_path / "p"),
+    )
+    assert code == EXIT_OK
+    numbered: dict[str, list[str]] = {}
+    for line in err.splitlines():
+        tag, word, count = line.split()[:3]
+        assert word == "trial"
+        numbered.setdefault(tag, []).append(count)
+    assert list(numbered) == ["fig14:n8", "fig14:n12", "fig14:n18"]
+    assert all(counts == ["1/3", "2/3", "3/3"] for counts in numbered.values())
+
+
 def test_experiment_unknown_preset(capsys):
     code, _, err = run_main(capsys, "experiment", "--preset", "fig99")
     assert code == EXIT_PRESET

@@ -287,6 +287,25 @@ def test_a_pooled_run_resolves_its_source_once(monkeypatch):
     assert calls == ["concept:xyz-or-ab"]
 
 
+def test_fig4_partitions_each_reference_tree_once(monkeypatch):
+    # the run finds each minimum tree's leaf rows when it is prepared, and
+    # every draw reads them from there
+    import forestscope.tree as treemod
+
+    calls, real = [], treemod.leaf_partition
+
+    def counted(node, data):
+        calls.append(node)
+        return real(node, data)
+
+    monkeypatch.setattr(treemod, "leaf_partition", counted)
+    monkeypatch.setattr(experiments, "leaf_partition", counted)
+    cfg = preset("fig4")
+    cfg = replace(cfg, legs=tuple(replace(leg, trial_count=5) for leg in cfg.legs))
+    run_trials(cfg, threads=1)
+    assert len(calls) == 72  # the minimum trees of xyz-or-ab
+
+
 @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
 def test_two_workers_match_one_under_every_start_method(monkeypatch, method):
     # the pool starts workers the platform's default way; whichever way that
@@ -768,9 +787,9 @@ def test_trial_records_loader_refuses_negative_counts(tmp_path, record_row, fiel
 
 
 def test_leaf_histograms_are_not_tracked(tmp_path, record_row):
-    # the field stays for the benchmark harness, which passes it False;
-    # every dumped bucket holds null there, and only null loads
-    with pytest.raises(ExperimentError, match="^leaf histograms are not tracked$"):
+    # no run sets leaf histograms: the benchmark harness reads a False
+    # constant; every dumped bucket holds null there, and only null loads
+    with pytest.raises(TypeError, match="leaf_hist"):
         small_config(leaf_hist=True)
     assert all(b["leaf_hist"] is None for b in record_row["buckets"].values())
     p = tmp_path / "edited.jsonl"

@@ -1234,4 +1234,4 @@ def test_router_from_dataset_runs_equals_a_row_by_row_build(seed):
     assert router.other_mask == [full & ~m for m in class_mask]
     assert router.row_class == row_class
     assert router.inst_mask == sum(first_row.values())
-    assert router.n == len({ex.instance for ex in rows})
+    assert router.inst_mask.bit_count() == len({ex.instance for ex in rows})
