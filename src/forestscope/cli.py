@@ -6,16 +6,18 @@ preset or an ad-hoc protocol and write its tables), `oracle-check` (fast
 enumerator against the naive one on random small problems), and `policy`
 (recompute the size-selection policy from a finished run's record dump).
 
-Exit codes: 0 success, 1 runtime failure (including oracle mismatch),
-2 usage, 3 unreadable or malformed data file, 4 unknown preset, 5 invalid
-flag combination.  Failures print one `error: <category>: <message>` line
-to stderr.  Progress lines go to stderr; tables and counts go to stdout.
+Exit codes: 0 success, 1 runtime failure (including oracle mismatch and a
+closed stdout), 2 usage, 3 unreadable or malformed data file, 4 unknown
+preset, 5 invalid flag combination, 130 interrupted.  Failures print one
+`error: <category>: <message>` line to stderr, except a closed stdout, which
+prints nothing.  Progress lines go to stderr; tables and counts go to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 from dataclasses import replace
 
@@ -23,7 +25,6 @@ from . import experiments, stats
 from .dataset import (
     Dataset,
     DatasetError,
-    apply_concept,
     binary_schema,
     bundled_dataset,
     get_concept,
@@ -49,6 +50,7 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_PRESET = 4
 EXIT_CONFIG = 5
+EXIT_INTERRUPTED = 130
 
 _BUNDLED = ("lenses",)
 
@@ -77,20 +79,18 @@ def _positive(text: str) -> int:
     return _int_at_least(text, 1)
 
 
-def _load_data_arg(args) -> Dataset:
-    if getattr(args, "concept", None):
-        return apply_concept(get_concept(args.concept))
-    return load_dataset(args.data)
+def _source(args) -> str:
+    """The dataset source of `--concept` or `--data`, exactly one of which is given."""
+    if bool(args.concept) == bool(args.data):
+        raise experiments.ExperimentError("need exactly one of --concept/--data")
+    return f"concept:{args.concept}" if args.concept else f"file:{args.data}"
 
 
 # ---------------------------------------------------------------- datasets
 
 def _cmd_datasets(args) -> int:
     if args.validate:
-        try:
-            data = load_dataset(args.validate)
-        except (OSError, DatasetError) as e:
-            return _fail(EXIT_DATA, "data", str(e))
+        data = load_dataset(args.validate)
         schema = data.schema
         print(
             f"ok: {len(data.examples)} examples, {data.distinct_instances()} distinct, "
@@ -119,29 +119,17 @@ def _cmd_datasets(args) -> int:
 # --------------------------------------------------------------- enumerate
 
 def _cmd_enumerate(args) -> int:
-    if bool(args.concept) == bool(args.data):
-        return _fail(EXIT_CONFIG, "config", "need exactly one of --concept/--data")
-    try:
-        data = _load_data_arg(args)
-    except (OSError, DatasetError) as e:
-        return _fail(EXIT_DATA, "data", str(e))
-    if not data.examples:
-        return _fail(EXIT_DATA, "data", "the training set has no examples")
+    data = experiments.resolve_source(_source(args))
     limits = EnumerationLimits(max_nodes=args.max_nodes, max_trees=args.max_trees)
     counts: dict[int, int] = {}
-    try:
-        if args.emit_trees:
-            for t in iter_consistent(data, limits):
-                c = node_count(t)
-                counts[c] = counts.get(c, 0) + 1
-                print(format_tree(t, data.schema))
-        else:
-            summary = forest_summary(
-                data, None, limits, track=TrackOptions(error_hist=False)
-            )
-            counts = {c: b.tree_count for c, b in summary.buckets.items()}
-    except EnumerationTruncated as e:
-        return _fail(EXIT_FAILURE, "enumeration", str(e))
+    if args.emit_trees:
+        for t in iter_consistent(data, limits):
+            c = node_count(t)
+            counts[c] = counts.get(c, 0) + 1
+            print(format_tree(t, data.schema))
+    else:
+        summary = forest_summary(data, None, limits, track=TrackOptions(error_hist=False))
+        counts = {c: b.tree_count for c, b in summary.buckets.items()}
     for c in sorted(counts):
         print(f"{c},{counts[c]}")
     return EXIT_OK
@@ -149,26 +137,8 @@ def _cmd_enumerate(args) -> int:
 
 # -------------------------------------------------------------- experiment
 
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("FORESTSCOPE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise experiments.ExperimentError(
-                f"FORESTSCOPE_THREADS must be an integer, got {env!r}"
-            ) from None
-    return os.cpu_count() or 1
-
-
 def _build_custom(args) -> experiments.ExperimentConfig:
-    if bool(args.concept) == bool(args.data):
-        raise experiments.ExperimentError(
-            "custom experiments need exactly one of --concept/--data"
-        )
-    source = f"concept:{args.concept}" if args.concept else f"file:{args.data}"
+    source = _source(args)
     if args.n_train is None:
         raise experiments.ExperimentError("custom experiments need --n-train")
     return experiments.ExperimentConfig(
@@ -190,50 +160,52 @@ def _build_custom(args) -> experiments.ExperimentConfig:
 
 
 def _cmd_experiment(args) -> int:
-    try:
-        if args.preset:
-            try:
-                config = experiments.preset(args.preset)
-            except experiments.ExperimentError as e:
-                return _fail(EXIT_PRESET, "preset", str(e))
-            config = experiments.select_legs(config, include_optional=args.all_legs)
-            config = replace(config, master_seed=args.seed)
-            if args.data:
-                config = replace(config, source=f"file:{args.data}")
-            if args.trials is not None:
-                config = replace(
-                    config,
-                    legs=tuple(replace(l, trial_count=args.trials) for l in config.legs),
-                )
-        else:
-            config = _build_custom(args)
-        threads = _resolve_threads(args)
-    except experiments.ExperimentError as e:
-        return _fail(EXIT_CONFIG, "config", str(e))
+    if args.preset:
+        try:
+            config = experiments.preset(args.preset)
+        except experiments.ExperimentError as e:
+            return _fail(EXIT_PRESET, "preset", str(e))
+        config = experiments.select_legs(config, include_optional=args.all_legs)
+        config = replace(config, master_seed=args.seed)
+        if args.data:
+            config = replace(config, source=f"file:{args.data}")
+        if args.trials is not None:
+            config = replace(
+                config,
+                legs=tuple(replace(l, trial_count=args.trials) for l in config.legs),
+            )
+    else:
+        config = _build_custom(args)
 
     totals = {leg.label: leg.trial_count for leg in config.legs}
     tags = {leg.label: experiments.leg_table_label(config, leg) for leg in config.legs}
 
     def progress(label: str, record) -> None:
-        print(
+        # one write with its newline: print's separate newline write lets a
+        # Ctrl-C leave the line open, and the error line would continue it
+        sys.stderr.write(
             f"{tags[label]} trial {record.trial_id + 1}/{totals[label]} "
             f"min={record.min_size} trees={record.summary.total_trees} "
-            f"{record.wall_ms:.1f}ms",
-            file=sys.stderr,
+            f"{record.wall_ms:.1f}ms\n"
         )
 
     out_dir = args.out or f"runs/{config.name}-seed{config.master_seed}"
+    # the outermost directory that makedirs creates, so that a refused or
+    # interrupted run leaves none behind; an unusable --out fails before a trial
+    top = out_dir
+    while not os.path.exists(parent := os.path.dirname(top) or "."):
+        top = parent
+    created = not os.path.exists(top)
+    os.makedirs(out_dir, exist_ok=True)
     try:
         results = experiments.run_trials(
-            config, threads=threads, progress=None if args.quiet else progress
+            config, threads=args.threads, progress=None if args.quiet else progress
         )
         written = experiments.emit_all(config, results, out_dir, with_charts=args.charts)
-    except (OSError, DatasetError) as e:
-        return _fail(EXIT_DATA, "data", str(e))
-    except experiments.ExperimentError as e:
-        return _fail(EXIT_CONFIG, "config", str(e))
-    except EnumerationTruncated as e:
-        return _fail(EXIT_FAILURE, "enumeration", str(e))
+    except BaseException:
+        if created:
+            shutil.rmtree(top, ignore_errors=True)
+        raise
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK
@@ -281,7 +253,7 @@ def _cmd_oracle_check(args) -> int:
 def _cmd_policy(args) -> int:
     try:
         pairs = experiments.load_trial_records(args.records)
-    except (OSError, experiments.ExperimentError) as e:
+    except experiments.ExperimentError as e:  # a malformed dump is a data error
         return _fail(EXIT_DATA, "data", str(e))
     by_label: dict[str, list] = {}
     for label, record in pairs:
@@ -345,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--charts", action="store_true", help="also write SVG charts")
     p.add_argument(
-        "--threads", type=_non_negative, default=None,
-        help="worker processes (capped at the trial and CPU counts)",
+        "--threads", type=_non_negative, default=os.cpu_count() or 1,
+        help="worker processes, at most the trial and CPU counts (default: the CPU count)",
     )
     p.add_argument("--data", help="dataset file (required by fig15)")
     p.add_argument("--concept", help="concept for a custom experiment")
@@ -381,8 +353,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; every failure it raises maps to one exit code here."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except BrokenPipeError:
+        # an OSError, so caught first; stdout goes to devnull so that the exit
+        # flush is silent too, as the SIGPIPE note in the Python docs does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAILURE
+    except (OSError, DatasetError) as e:
+        return _fail(EXIT_DATA, "data", str(e))
+    except experiments.ExperimentError as e:
+        return _fail(EXIT_CONFIG, "config", str(e))
+    except EnumerationTruncated as e:
+        return _fail(EXIT_FAILURE, "enumeration", str(e))
+    except KeyboardInterrupt:
+        return _fail(EXIT_INTERRUPTED, "interrupted", "stopped before the run finished")
 
 
 if __name__ == "__main__":

@@ -142,16 +142,21 @@ class ExperimentConfig:
 
 
 def resolve_source(source: str | None) -> Dataset:
+    """The dataset a source names; raises DatasetError if it has no examples."""
     if source is None:
         raise ExperimentError("no dataset source; supply a data file")
     scheme, _, rest = source.partition(":")
     if scheme == "concept":
-        return apply_concept(get_concept(rest))
-    if scheme == "bundled":
-        return bundled_dataset(rest)
-    if scheme == "file":
-        return load_dataset(rest)
-    raise ExperimentError(f"unknown dataset source {source!r}")
+        data = apply_concept(get_concept(rest))
+    elif scheme == "bundled":
+        data = bundled_dataset(rest)
+    elif scheme == "file":
+        data = load_dataset(rest)
+    else:
+        raise ExperimentError(f"unknown dataset source {source!r}")
+    if not data.examples:
+        raise DatasetError(f"{source}: no examples")
+    return data
 
 
 @dataclass(frozen=True)
@@ -174,8 +179,6 @@ class _RunContext:
 def _prepare(config: ExperimentConfig) -> _RunContext:
     data = resolve_source(config.source)
     n = len(data.examples)
-    if n == 0:
-        raise DatasetError(f"{config.source}: no examples")
     leaf_rows, need = None, 0
     if config.leaf_coverage is not None:
         refs = iter_consistent(data, EnumerationLimits(max_nodes=min_consistent_size(data)))
@@ -285,9 +288,14 @@ def run_trials(
     if workers <= 1:
         return _collect(config, jobs, map(run, jobs), progress)
     import multiprocessing  # here, so a serial run never loads it
+    import signal
 
     chunk = max(1, len(jobs) // (workers * 8))
-    with multiprocessing.Pool(processes=workers) as pool:
+    # workers ignore Ctrl-C: only this process raises KeyboardInterrupt, and
+    # leaving the `with` terminates them
+    with multiprocessing.Pool(
+        workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
+    ) as pool:
         return _collect(config, jobs, pool.imap(run, jobs, chunksize=chunk), progress)
 
 

@@ -1,11 +1,14 @@
 """Command-line surface: flags, output shapes, exit codes."""
 
+import contextlib
 import importlib
 import itertools
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -18,10 +21,12 @@ except ModuleNotFoundError:  # Python 3.10
     tomllib = None
 
 import forestscope
+from forestscope import experiments
 from forestscope.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_FAILURE,
+    EXIT_INTERRUPTED,
     EXIT_OK,
     EXIT_PRESET,
     EXIT_USAGE,
@@ -46,6 +51,22 @@ def child_env():
         p for p in (str(SOURCE_ROOT), env.get("PYTHONPATH")) if p
     )
     return env
+
+
+@contextlib.contextmanager
+def cli_child(tmp_path, *argv, **popen):
+    """The CLI in a child process, killed after 60 s or, still running, on leaving."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "forestscope.cli", *argv],
+        env=child_env(), cwd=tmp_path, **popen,
+    ) as proc:
+        watchdog = threading.Timer(60, proc.kill)  # a hung child fails the test, not the suite
+        watchdog.start()
+        try:
+            yield proc
+        finally:
+            watchdog.cancel()
+            proc.kill()
 
 
 def test_datasets_lists_concepts_and_bundled(capsys):
@@ -188,9 +209,12 @@ def test_usage_errors_exit_2():
         (["policy", "--records", "NOT_UTF8"], EXIT_DATA),
         (["policy", "--records", "NEGATIVE_COUNT"], EXIT_DATA),
         (["policy", "--records", "LEAF_HIST"], EXIT_DATA),
+        (["policy", "--records", "RECORDS", "--out", "A_FILE"], EXIT_DATA),
     ],
 )
-def test_bad_integers_and_empty_data_exit_without_a_traceback(tmp_path, capsys, argv, want):
+def test_bad_integers_and_empty_data_exit_without_a_traceback(
+    tmp_path, capsys, small_records, argv, want
+):
     header_only = tmp_path / "header.csv"
     header_only.write_text("a=0|1,class=n|y\n", encoding="utf-8")
     not_utf8 = tmp_path / "latin1.csv"
@@ -204,6 +228,8 @@ def test_bad_integers_and_empty_data_exit_without_a_traceback(tmp_path, capsys, 
         "NOT_UTF8": str(not_utf8),
         "NEGATIVE_COUNT": str(negative),
         "LEAF_HIST": str(leaves),
+        "RECORDS": small_records,
+        "A_FILE": str(header_only),
     }
     argv = [files.get(a, a) for a in argv]
     if argv[0] == "experiment":
@@ -468,10 +494,89 @@ def test_experiment_accepts_the_trial_count_loo_needs(tmp_path, capsys):
 
 def test_experiment_fig15_needs_data(tmp_path, capsys):
     code, _, err = run_main(
-        capsys, "experiment", "--preset", "fig15", "--out", str(tmp_path / "x"), "--quiet"
+        capsys, "experiment", "--preset", "fig15", "--out", str(tmp_path / "x" / "y"), "--quiet"
     )
     assert code == EXIT_CONFIG
     assert "data" in err
+    assert not (tmp_path / "x").exists()  # a refused run leaves no directory
+
+
+def test_an_unusable_out_is_refused_before_the_first_trial(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = experiments.forest_summary
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(experiments, "forest_summary", counted)
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    code, _, err = run_main(
+        capsys, "experiment", "--preset", "fig13", "--threads", "1", "--out", str(taken)
+    )
+    assert code == EXIT_DATA
+    assert err.startswith("error: data: ") and len(err.splitlines()) == 1
+    assert calls == []
+
+
+def test_enumerate_and_experiment_refuse_an_empty_source_alike(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("a=0|1,class=n|y\n", encoding="utf-8")
+    want = f"error: data: file:{empty}: no examples\n"
+    assert run_main(capsys, "enumerate", "--data", str(empty)) == (EXIT_DATA, "", want)
+    code, _, err = run_main(
+        capsys, "experiment", "--data", str(empty), "--n-train", "1",
+        "--out", str(tmp_path / "run"), "--quiet",
+    )
+    assert (code, err) == (EXIT_DATA, want)
+    assert not (tmp_path / "run").exists()
+
+
+def test_ctrl_c_in_process_ends_in_one_line(tmp_path, capsys, monkeypatch):
+    def interrupted(*args, **kw):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(experiments, "forest_summary", interrupted)
+    code, out, err = run_main(
+        capsys, "experiment", "--preset", "fig14", "--threads", "1",
+        "--out", str(tmp_path / "run"),
+    )
+    assert code == EXIT_INTERRUPTED and out == ""
+    assert err.splitlines() == ["error: interrupted: stopped before the run finished"]
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sigint_ends_in_one_line_under_any_worker_count(tmp_path, threads):
+    # its own session, so the signal reaches the child and its workers only
+    out_dir = tmp_path / "run"
+    with cli_child(
+        tmp_path, "experiment", "--preset", "fig13", "--threads", threads, "--out", str(out_dir),
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    ) as proc:
+        first = proc.stderr.readline()
+        assert " trial 1/340 " in first, first
+        os.killpg(proc.pid, signal.SIGINT)
+        rest = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert code == EXIT_INTERRUPTED
+    assert "Traceback" not in rest
+    errors = [line for line in rest.splitlines() if line.startswith("error:")]
+    assert errors == ["error: interrupted: stopped before the run finished"], rest
+    assert not out_dir.exists()
+
+
+def test_a_closed_stdout_exits_1_silently(tmp_path):
+    with cli_child(
+        tmp_path, "enumerate", "--concept", "mux6", "--emit-trees",
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"(")
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()
+    assert (code, err) == (EXIT_FAILURE, b"")
 
 
 def test_experiment_fig15_runs_on_a_supplied_file(tmp_path, capsys):
@@ -511,23 +616,6 @@ def test_experiment_fig15_runs_on_a_supplied_file(tmp_path, capsys):
     table = (out_dir / "cardinality_stats.csv").read_text().splitlines()
     labels = {line.split(",")[0] for line in table[1:]}
     assert labels == {"fig15:n20cap7", "fig15:n50cap9", "fig15:n100cap11"}
-
-
-def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FORESTSCOPE_THREADS", "2")
-    code, _, _ = run_main(
-        capsys,
-        "experiment", "--preset", "fig14", "--seed", "9",
-        "--out", str(tmp_path / "env"), "--quiet",
-    )
-    assert code == EXIT_OK
-    monkeypatch.setenv("FORESTSCOPE_THREADS", "zero?")
-    code, _, err = run_main(
-        capsys,
-        "experiment", "--preset", "fig14", "--seed", "9",
-        "--out", str(tmp_path / "env2"), "--quiet",
-    )
-    assert code == EXIT_CONFIG
 
 
 def test_oracle_check_reports_matches(capsys):

@@ -19,6 +19,7 @@ from forestscope import (
     format_dataset,
     get_concept,
     instance_space,
+    leaf_coverage_sample,
     list_concepts,
     parse_dataset,
     representative_filter,
@@ -221,6 +222,16 @@ def test_split_disjoint_partitions():
     assert seen == sorted(ex.instance for ex in data.examples)
     with pytest.raises(ValueError):
         split_disjoint(data, 32, SplitMix64(0))
+
+
+def test_leaf_coverage_sample_refuses_one_row_short():
+    # leaves reaching 2, 1 and 3 rows, covered twice each, demand 2 + 1 + 2 rows
+    data = apply_concept(get_concept("a"))
+    leaves = ((0, 1), (2,), (3, 4, 5))
+    with pytest.raises(ValueError, match="needs 5 examples but n_train is 4"):
+        leaf_coverage_sample(data, leaves, 2, 4, SplitMix64(3))
+    train, test = leaf_coverage_sample(data, leaves, 2, 5, SplitMix64(3))
+    assert len(train.examples) == 5 and len(test.examples) == 27
 
 
 @pytest.mark.property_based

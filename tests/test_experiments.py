@@ -38,6 +38,7 @@ from forestscope import (
 )
 from forestscope import charts, experiments
 from forestscope.experiments import ExperimentError, leg_table_label, resolve_source, select_legs
+from forestscope.forest import broken_identity
 
 
 def small_config(**kw):
@@ -237,7 +238,7 @@ def test_worker_count_is_capped_by_trials_and_cpus(monkeypatch, threads, cpus, w
     class SerialPool:
         """Records the worker count it was asked for and maps in this process."""
 
-        def __init__(self, processes):
+        def __init__(self, processes, initializer=None, initargs=()):
             started.append(processes)
 
         def __enter__(self):
@@ -259,11 +260,11 @@ def test_worker_count_is_capped_by_trials_and_cpus(monkeypatch, threads, cpus, w
 
 def test_a_pooled_run_resolves_its_source_once(monkeypatch):
     class InProcessPool:
-        """multiprocessing.Pool's constructor and imap, run in this process."""
+        """multiprocessing.Pool's constructor and imap, run in this process,
+        which keeps its Ctrl-C handler: the initializer is for a worker."""
 
         def __init__(self, processes, initializer=None, initargs=()):
-            if initializer is not None:
-                initializer(*initargs)
+            pass
 
         def __enter__(self):
             return self
@@ -375,6 +376,32 @@ def test_leave_one_out_holds_out_each_row():
     )
     with pytest.raises(ExperimentError):
         run_trials(bad)  # trial count must equal the instance space size
+
+
+def test_a_leave_one_out_leg_needs_its_train_size_too():
+    # the trial count is right; only n_train is one short of the 32-row source
+    cfg = ExperimentConfig(
+        name="loo",
+        source="concept:a",
+        legs=(LegSpec(label="", n_train=30, trial_count=32, max_nodes=4),),
+        split_mode="leave_one_out",
+    )
+    with pytest.raises(ExperimentError, match="n_train=31"):
+        run_trials(cfg)
+
+
+@pytest.mark.parametrize("n_train", [15, 16, 17])
+def test_fig4_refuses_a_train_size_one_below_its_leaf_coverage(n_train):
+    # xyz-or-ab's minimum trees have leaves reaching 1, 1, 2, 2, 2, 4, 4, 8
+    # and 8 rows; covering each twice, or each row of a smaller leaf, takes 16
+    cfg = preset("fig4")
+    cfg = replace(cfg, legs=tuple(replace(l, n_train=n_train, trial_count=3) for l in cfg.legs))
+    if n_train < 16:
+        with pytest.raises(ExperimentError, match="leaf coverage needs 16 examples"):
+            run_trials(cfg, threads=1)
+    else:
+        records = run_trials(cfg, threads=1)[0].records
+        assert [r.n_train for r in records] == [n_train] * 3
 
 
 def test_post_filter_marks_rather_than_redraws():
@@ -650,6 +677,22 @@ def test_record_lines_are_the_sorted_json_of_their_dict_form(tmp_path, name, leg
     want = "".join(json.dumps(_dict_form(*pair), sort_keys=True) + "\n" for pair in pairs)
     assert path.read_bytes() == want.encode("utf-8")
     assert load_trial_records(path) == pairs
+
+
+@pytest.mark.parametrize(
+    "bucket, want",
+    [
+        # a histogram-free bucket, as in fig8's dumps: only the total can break
+        (CardinalityBucket(3, 0, 3 * 12 + 1), "more errors than tree-test pairs"),
+        (CardinalityBucket(3, 0, 3 * 12), None),
+        # one tree at weight + 1 errors; mass, zero count and sum all agree
+        (CardinalityBucket(2, 1, 13, {0: 1, 13: 1}), "error count 13 above test weight 12"),
+        (CardinalityBucket(2, 1, 12, {0: 1, 12: 1}), None),
+    ],
+)
+def test_broken_identity_at_the_test_weights_edge(bucket, want):
+    broken = broken_identity(ForestSummary({4: bucket}, test_weight=12))
+    assert broken == (want and f"cardinality 4: {want}")
 
 
 def test_trial_records_loader_rejects_garbage(tmp_path):

@@ -103,6 +103,14 @@ def test_group_by_min_size_partitions_trials():
     assert rows[4].trials_present == 1
 
 
+def test_group_by_min_size_keeps_a_pure_training_set():
+    # a one-class train set fits the single-leaf tree: min_size 0
+    pure = rec(0, {0: (1, 1, 0, {0: 1})}, 4)
+    groups = group_by_min_size([pure])
+    assert sorted(groups) == [0]
+    assert groups[0].trial_count == 1
+
+
 def test_pairwise_probabilities_from_known_histograms():
     # c=2: errors {0,1}; c=3: errors {0,0,2} -> over 6 pairs:
     # smaller-better pairs: (0 vs 2)x? compare each 2-tree err with each 3-tree err
