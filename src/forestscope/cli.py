@@ -190,12 +190,9 @@ def _cmd_experiment(args) -> int:
         )
 
     out_dir = args.out or f"runs/{config.name}-seed{config.master_seed}"
-    # the outermost directory that makedirs creates, so that a refused or
-    # interrupted run leaves none behind; an unusable --out fails before a trial
-    top = out_dir
-    while not os.path.exists(parent := os.path.dirname(top) or "."):
-        top = parent
-    created = not os.path.exists(top)
+    # an unusable --out fails before a trial; a refused or interrupted run
+    # removes --out if it made it, and nothing above it, where other runs write
+    created = not os.path.exists(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     try:
         results = experiments.run_trials(
@@ -204,7 +201,7 @@ def _cmd_experiment(args) -> int:
         written = experiments.emit_all(config, results, out_dir, with_charts=args.charts)
     except BaseException:
         if created:
-            shutil.rmtree(top, ignore_errors=True)
+            shutil.rmtree(out_dir, ignore_errors=True)
         raise
     for path in written:
         print(f"wrote {path}")

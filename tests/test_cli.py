@@ -498,7 +498,27 @@ def test_experiment_fig15_needs_data(tmp_path, capsys):
     )
     assert code == EXIT_CONFIG
     assert "data" in err
-    assert not (tmp_path / "x").exists()  # a refused run leaves no directory
+    assert not (tmp_path / "x" / "y").exists()  # a refused run leaves no --out
+
+
+def test_a_failed_run_keeps_what_other_runs_wrote_beside_it(tmp_path, capsys, monkeypatch):
+    # this run makes runs/ for its --out; another run writes into runs/ meanwhile
+    runs = tmp_path / "runs"
+    other = runs / "fig1-seed0" / "run_manifest.csv"
+
+    def interrupted(*args, **kw):
+        other.parent.mkdir()
+        other.write_text("trial\n", encoding="utf-8")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(experiments, "forest_summary", interrupted)
+    code, _, _ = run_main(
+        capsys, "experiment", "--preset", "fig14", "--threads", "1",
+        "--out", str(runs / "fig14-seed0"), "--quiet",
+    )
+    assert code == EXIT_INTERRUPTED
+    assert not (runs / "fig14-seed0").exists()
+    assert other.read_text(encoding="utf-8") == "trial\n"
 
 
 def test_an_unusable_out_is_refused_before_the_first_trial(tmp_path, capsys, monkeypatch):
