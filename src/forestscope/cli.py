@@ -16,9 +16,11 @@ prints nothing.  Progress lines go to stderr; tables and counts go to stdout.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import shutil
 import sys
+import tempfile
 from dataclasses import replace
 
 from . import experiments, stats
@@ -191,18 +193,29 @@ def _cmd_experiment(args) -> int:
 
     out_dir = args.out or f"runs/{config.name}-seed{config.master_seed}"
     # an unusable --out fails before a trial; a refused or interrupted run
-    # removes --out if it made it, and nothing above it, where other runs write
+    # removes --out if it made it, and nothing above it, where other runs write.
+    # The files are staged inside --out, so on its file system and writable
+    # wherever --out is, and moved into place only once all are written
     created = not os.path.exists(out_dir)
     os.makedirs(out_dir, exist_ok=True)
+    staging = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
     try:
         results = experiments.run_trials(
             config, threads=args.threads, progress=None if args.quiet else progress
         )
-        written = experiments.emit_all(config, results, out_dir, with_charts=args.charts)
+        staged = experiments.emit_all(config, results, staging, with_charts=args.charts)
+        written = [os.path.join(out_dir, os.path.basename(path)) for path in staged]
+        for path in written:  # a directory in the way would stop the moves halfway
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for path, dest in zip(staged, written):
+            os.replace(path, dest)
     except BaseException:
         if created:
             shutil.rmtree(out_dir, ignore_errors=True)
         raise
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK

@@ -8,16 +8,13 @@ the routing rule already forbids, so nothing is lost by construction.
 
 Three routes to the same forest live here, on purpose:
 
-* `iter_consistent`: the search enumerator.
-  Depth-first over choice points; yields actual trees in a documented
-  deterministic order (subtree sizes ascending, then feature index, then
-  child budget compositions lexicographically with the rightmost child
+* `iter_consistent`: the search enumerator.  Depth-first; yields trees in
+  a documented order (subtree sizes ascending, then feature index, then
+  child budget compositions lexicographically, the rightmost child
   varying fastest).  Each subproblem's budget is bounded below by its
-  exact fewest splits, read from the memo of one min-plus `_solve` pass,
-  the lower-bound pruning of DL8 with an exact bound: no size below a
-  subproblem's minimum is searched, and pruning drops only branches that
-  yield nothing, so the trees and their order are those of the unpruned
-  search.
+  exact fewest splits, from the memo of one min-plus `_solve` pass (DL8's
+  lower-bound pruning, exact): pruning drops only branches that yield
+  nothing, so the trees and their order are those of the unpruned search.
 * `enumerate_naive`: the definitional oracle.  Generates every syntactic
   tree (path-distinct features, full fan-out, all leaf labelings, the
   empty-branch rule applied) and filters through the public predicates in
@@ -26,20 +23,17 @@ Three routes to the same forest live here, on purpose:
 * `forest_summary`: per-cardinality accumulation without storing trees.
   The algebraic mode is one memoized recursion, `_solve`, over (train
   rows, usable features) subproblems, which fix the test and population
-  rows; it multiplies each split's open children's profiles in one of three
-  algebras.  Every row of the train, test and population multisets has its
-  own bit in `_Router`'s masks, so each weight is a popcount.
+  rows.  Each split hands its open children to an algebra's `attach` as a
+  pair; every weight is a popcount over `_Router`'s per-row bits.
   `_CountAlgebra` keeps exact Python-int tree counts keyed on one packed
-  int per (splits, misclassified weight, path tests), the last only when
-  tracked, so no count is fixed-width and none can wrap; `_TotalsAlgebra`,
-  for test errors with no histogram at all, packs trees, error-free trees
-  and error sums per split count into slots of three big ints, too wide to
-  carry; `_MinSizeAlgebra` is min-plus, giving `min_consistent_size` in one
-  pass.  Path-length bins walk no trees: a tree's path-test total is
-  additive over its splits (each adds the population weight reaching it),
-  so the key carries it and each distinct total is binned once.  The
-  streaming mode, the oracle, measures through `tree` each tree the search
-  enumerator yields; tests hold the two modes to bucket-for-bucket agreement.
+  int per (splits, misclassified weight, path tests), so no count can
+  wrap; `_TotalsAlgebra`, for test errors with no histogram at all, packs
+  trees, error-free trees and error sums per split count into three big
+  ints; `_MinSizeAlgebra` is min-plus, giving `min_consistent_size`.
+  Path-length bins walk no trees: a tree's path-test total is additive
+  over its splits, so the key carries it.  The streaming mode, the oracle,
+  measures through `tree` each tree the search enumerator yields; tests
+  hold the two modes to bucket-for-bucket agreement.
 
 Budgets count splits.  `max_nodes=None` means no explicit cap, which is
 effectively (distinct training instances - 1): no consistent tree can use
@@ -97,29 +91,19 @@ class EnumerationLimits:
             raise ValueError("max_trees must be >= 0")
 
 
-def _iter_bits(x: int) -> Iterator[int]:
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
 class _Router:
     """Bitset routing tables over the rows of a multiset.
 
     Every row has its own bit, and the rows of one (instance, label) pair
     sit on adjacent bits, so every weight is a popcount: duplicate rows
     (and even conflicting labels) count exactly, and majority and
-    misclassification compare bit counts.  `row_class[i]` is the class of
-    row i and `other_mask[c]` holds every row not of class c, so purity
-    takes one probe: the lowest row of a set names the only class it can
-    be pure in, and the set is pure exactly when it misses that class's
-    `other_mask`.  The runs are the dataset's own `runs`, counted once when
-    it was built, so the rows are not hashed a second time here.
-    `row_class` is built on first use, from the same runs as the masks: only
-    training rows are ever tested for purity.  `inst_mask` (one bit per
-    distinct instance, its first row, for the walk's bounds that count
-    instances) is built on first use too.
+    misclassification compare bit counts.  `other_mask[c]` holds the rows
+    not of class c.  Purity is mask-first (`sole_class`): a set missing
+    `other_mask[0]` is pure in class 0, one meeting it and class 0 is
+    impure, and only a set with no class-0 row reads `row_class` (the class
+    of each row) at its lowest row, never with two classes.  `row_class`
+    and `inst_mask` (the first row of each distinct instance, for the
+    walk's bounds) are built on first use, from the dataset's `runs`.
     """
 
     def __init__(self, data: Dataset):
@@ -156,9 +140,11 @@ class _Router:
 
     def sole_class(self, bits: int) -> int | None:
         """The single class with weight in `bits`, or None if impure or empty."""
-        if not bits:
+        if not bits & self.other_mask[0]:
+            return 0 if bits else None
+        if bits & self.class_mask[0]:
             return None
-        c = self.row_class[(bits & -bits).bit_length() - 1]
+        c = 1 if self.n_classes == 2 else self.row_class[(bits & -bits).bit_length() - 1]
         return None if bits & self.other_mask[c] else c
 
     def wrong_weight(self, bits: int, label: int) -> int:
@@ -215,7 +201,7 @@ def _subtrees(r: _Router, fewest, bits: int, usable: int, size: int) -> Iterator
         if size == 0:
             yield Leaf(sole)
         return
-    for f in _iter_bits(usable):
+    for f in (f for f in range(len(r.arities)) if usable >> f & 1):
         kid_bits = [bits & m for m in r.value_mask[f]]
         if len(kid_bits) - kid_bits.count(0) < 2:
             continue
@@ -355,11 +341,10 @@ class TrackOptions:
     """What per-cardinality detail a summary carries.
 
     error_hist: histogram of misclassified test weight per tree (needed by
-        pairwise statistics).  Off = the buckets carry only the exact
-        tree, correct and misclassified totals; without path bins either,
-        `_TotalsAlgebra` sums them in packed big ints, per split count.
+        pairwise statistics).  Off, the buckets carry only the exact tree,
+        correct and misclassified totals (`_TotalsAlgebra`, if no path bins).
     leaf_hist: read only by the benchmark harness; leaf histograms are not
-        tracked, so it must be False, and True raises ValueError.
+        tracked, so True raises ValueError.
     path_bins: histogram bin width for per-tree average path length over
         the population; computed from the exact algebraic profile.  Set,
         it also sums each bucket's split-traversals over the population
@@ -543,16 +528,15 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
     """Profile, in algebra `alg`, of every consistent tree, and the memo.
 
     One memoized recursion over subproblems (train rows, usable features),
-    one memo table per usable set; `pop` is None when no population is
-    tracked, which keeps its masks out of the per-split loop.  Each split
-    is attached as the algebras' comment below says.  A two-valued feature
-    splits without a list; purity and weights are `_Router`'s one-probe
-    expressions inline, saving a call per child, and a child's test and
-    population rows are routed only where they are read.  The memo,
-    `memo[usable][tr_bits]`, holds the profile of every impure subproblem
-    the recursion reaches below the root.  `solve` calls itself through its
-    closure cell, a cycle that would hold the memo for the cyclic collector;
-    unbinding it on any exit lets the caller's last reference free the memo.
+    one memo table `memo[usable][tr_bits]` per usable set, holding every
+    impure subproblem reached below the root.  A split on a two-valued
+    feature runs straight through its two children, with `sole_class`'s
+    mask-first purity rule inline; a split of more values folds its open
+    children past the second with `alg.mul`, cut at the room.  Either way
+    one `attach` takes the open children as (a, b), None for a closed one.
+    `solve` calls itself through its closure cell, a cycle that would hold
+    the memo for the cyclic collector; unbinding it on any exit lets the
+    caller's last reference free the memo.
     """
     memo: defaultdict[int, dict[int, object]] = defaultdict(dict)
     sole = tr.sole_class(tr.full)
@@ -561,21 +545,21 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
     n_features = len(tr.arities)
     rooms = [alg.room(depth) for depth in range(n_features + 1)]
     tr_value, te_value = tr.value_mask, te.value_mask
-    pop_value = pop.value_mask if pop is not None else None
-    row_class, tr_other, te_other = tr.row_class, tr.other_mask, te.other_mask
-    zero, attach = alg.zero, alg.attach
+    pop_value = pop.value_mask if pop is not None else tr_value  # pop_bits is 0 without one
+    two = tr.n_classes == 2
+    row_class = None if two else tr.row_class  # two classes never read it
+    tr_other, te_other, sole_class = tr.other_mask, te.other_mask, tr.sole_class
+    class0, other0, te_other0 = tr.class_mask[0], tr_other[0], te_other[0]
+    zero, attach, mul = alg.zero, alg.attach, alg.mul
     split_unit, misc_unit, path_unit = alg.units
-    # The used features are those not in `usable`, and the train rows
-    # (never empty) all share their values on them, which fixes the path
-    # and its depth; the test and population rows are those the path
-    # admits, so (tr_bits, usable) determines te_bits, pop_bits and the
-    # room.  Callers probe memo[usable][tr_bits] before recursing.
+    # The train rows (never empty) share their values on the used features,
+    # those not in `usable`, which fixes the path, its depth and the test
+    # and population rows it admits: (tr_bits, usable) is the memo key.
 
     def solve(tr_bits: int, te_bits: int, pop_bits: int, usable: int):
         out = zero()
         sub_base = split_unit + pop_bits.bit_count() * path_unit
         room = rooms[n_features - usable.bit_count()]
-        maj = None
         rest = usable
         while rest:
             low = rest & -rest
@@ -586,38 +570,59 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
                 k0 = tr_bits & masks[0]
                 if not k0 or k0 == tr_bits:
                     continue
-                tr_kids = (k0, tr_bits ^ k0)
+                k1 = tr_bits ^ k0
+                child_usable = usable ^ low
+                table = memo[child_usable]
+                te0 = te_bits & te_value[f][0]
+                a = b = None
+                misc = 0
+                if not k0 & other0:  # every row is of class 0
+                    misc = (te0 & te_other0).bit_count()
+                elif k0 & class0 or (  # a class-0 row and another, or the lowest row's class
+                    k0 & tr_other[c := 1 if two else row_class[(k0 & -k0).bit_length() - 1]]
+                ):
+                    a = table.get(k0)
+                    if a is None:
+                        a = table[k0] = solve(k0, te0, pop_bits & pop_value[f][0], child_usable)
+                else:
+                    misc = (te0 & te_other[c]).bit_count()
+                te1 = te_bits ^ te0
+                if not k1 & other0:
+                    misc += (te1 & te_other0).bit_count()
+                elif k1 & class0 or (
+                    k1 & tr_other[c := 1 if two else row_class[(k1 & -k1).bit_length() - 1]]
+                ):
+                    b = table.get(k1)
+                    if b is None:
+                        b = table[k1] = solve(k1, te1, pop_bits & pop_value[f][1], child_usable)
+                    if a is None:
+                        a, b = b, a
+                else:
+                    misc += (te1 & te_other[c]).bit_count()
             else:
                 tr_kids = [tr_bits & m for m in masks]
                 if len(tr_kids) - tr_kids.count(0) < 2:
                     continue
-            te_masks = te_value[f]
-            child_usable = usable ^ low
-            table = memo[child_usable]
-            misc = 0
-            parts = []
-            for v, kb in enumerate(tr_kids):
-                if not kb:
+                child_usable = usable ^ low
+                table = memo[child_usable]
+                te_masks = te_value[f]
+                misc = 0
+                parts = []
+                for v, kb in enumerate(tr_kids):
                     te_kid = te_bits & te_masks[v]
-                    if te_kid:
-                        if maj is None:
-                            maj = tr.majority(tr_bits)
-                        misc += (te_kid & te_other[maj]).bit_count()
-                    continue
-                c = row_class[(kb & -kb).bit_length() - 1]
-                if not kb & tr_other[c]:
-                    misc += (te_bits & te_masks[v] & te_other[c]).bit_count()
-                    continue
-                part = table.get(kb)
-                if part is None:
-                    part = table[kb] = solve(
-                        kb,
-                        te_bits & te_masks[v],
-                        pop_bits & pop_value[f][v] if pop is not None else 0,
-                        child_usable,
-                    )
-                parts.append(part)
-            out = attach(out, parts, sub_base + misc * misc_unit, misc, room)
+                    c = sole_class(kb) if kb else tr.majority(tr_bits)  # a leaf's class
+                    if c is not None:
+                        misc += (te_kid & te_other[c]).bit_count()
+                        continue
+                    part = table.get(kb)
+                    if part is None:
+                        pop_kid = pop_bits & pop_value[f][v]
+                        part = table[kb] = solve(kb, te_kid, pop_kid, child_usable)
+                    parts.append(part)
+                while len(parts) > 2:
+                    parts[:2] = [mul(parts[0], parts[1], room)]
+                a, b = (parts + [None, None])[:2]
+            out = attach(out, a, b, sub_base + misc * misc_unit, misc, room)
         return out
 
     all_features = (1 << n_features) - 1
@@ -627,16 +632,16 @@ def _solve(alg, tr: _Router, te: _Router, pop: _Router | None):
         del solve  # it calls itself through its own closure cell: unbind that cycle
 
 
-# Algebras.  zero() is the profile of no trees and leaf(misc) that of the
-# lone leaf; room(depth) is what a split at `depth` leaves its children
-# (the module docstring's depth cut); units is what one (split,
+# Algebras.  zero() is the profile of no trees (never None) and leaf(misc)
+# that of the lone leaf; room(depth) is what a split at `depth` leaves its
+# children (the module docstring's depth cut); units is what one (split,
 # misclassified test row, path test) adds to a key, 0 for a field not in
-# it, so the caller sums a split's key `base`; attach(out, parts, base,
+# it, so the caller sums a split's key `base`.  attach(out, a, b, base,
 # misc, room) returns `out` plus the trees of one split with key `base`,
-# closed leaves misclassifying `misc` test rows and open children of
-# profiles `parts` (none when every child is a closed leaf), mutating no
-# part (`_CountAlgebra` adds into its dict `out`); tables(profile) gives
-# the summary's buckets and path bins.
+# closed leaves misclassifying `misc` test rows and open children a and b,
+# None for no open child (b is None when a is); mul(a, b, room), their
+# product cut at the room, folds a third child into a.  Neither mutates a
+# or b; tables(profile) gives the summary's buckets and path bins.
 
 
 class _CountAlgebra:
@@ -678,14 +683,7 @@ class _CountAlgebra:
     def room(self, depth: int) -> int:
         return (self.cap - depth) << self.split_shift  # below cap - depth splits
 
-    def mul(
-        self,
-        a: dict[int, int],
-        b: dict[int, int],
-        room: int,
-        out: dict[int, int] | None = None,
-        base: int = 0,
-    ) -> dict[int, int]:
+    def mul(self, a, b, room, out=None, base=0) -> dict[int, int]:
         """Adds a * b, keys raised by `base`, to `out` (a new dict when None); returns it."""
         if out is None:
             out = {}
@@ -701,22 +699,19 @@ class _CountAlgebra:
                 out[k] = get(k, 0) + c1 * c2
         return out
 
-    def attach(self, out, parts, base, misc, room) -> dict[int, int]:
-        if not parts:
+    def attach(self, out, a, b, base, misc, room) -> dict[int, int]:
+        if b is not None:
+            return self.mul(a, b, room, out, base)
+        if a is None:
             if room > 0:  # the budget admits this one split
                 out[base] = out.get(base, 0) + 1
             return out
-        if len(parts) == 1:
-            get = out.get
-            for k, c in parts[0].items():
-                if k < room:
-                    k += base
-                    out[k] = get(k, 0) + c
-            return out
-        acc = parts[0]
-        for part in parts[1:-1]:
-            acc = self.mul(acc, part, room)
-        return self.mul(acc, parts[-1], room, out, base)
+        get = out.get
+        for k, c in a.items():
+            if k < room:
+                k += base
+                out[k] = get(k, 0) + c
+        return out
 
     def tables(self, profile: dict[int, int]):
         """Buckets (and path bins) of a profile, in one pass over its sorted
@@ -762,13 +757,12 @@ class _CountAlgebra:
 class _TotalsAlgebra:
     """The expectation semiring (Li & Eisner, EMNLP 2009) with the error-free
     count alongside, for a test set with no error histogram or path bins.
-    A profile is None for no trees, else (lo, C, Z, M): slot i (`width` bits
+    A profile is () for no trees, else (lo, C, Z, M): slot i (`width` bits
     from bit i * width) of C, Z and M holds the trees, error-free trees and
     misclassified sum at lo + i splits; C's slot 0 is never empty.  Children
     multiply as (C1 C2, Z1 Z2, M1 C2 + C1 M2), cut to the slots below the
-    room; nonzero `misc` zeroes Z and adds misc C to M.  No slot below the
-    room reaches 2**width, and higher ones carry only upward, into slots the
-    cut drops, so every kept slot is exact."""
+    room; nonzero `misc` zeroes Z and adds misc C to M.  No kept slot
+    reaches 2**width, and higher ones carry only into slots the cut drops."""
 
     units = (1, 0, 0)
 
@@ -776,8 +770,8 @@ class _TotalsAlgebra:
         self.cap = cap
         self.width = _slot_width(arities, cap, test_weight)
 
-    def zero(self) -> None:
-        return None
+    def zero(self) -> tuple:
+        return ()
 
     def leaf(self, misc: int) -> tuple[int, int, int, int]:
         return (0, 1, int(not misc), misc)
@@ -785,11 +779,15 @@ class _TotalsAlgebra:
     def room(self, depth: int) -> int:
         return self.cap - depth
 
-    def attach(self, out, parts, base, misc, room):
-        if None in parts:
+    def mul(self, a, b, room):
+        return self.attach((), a, b, 0, 0, room)
+
+    def attach(self, out, a, b, base, misc, room):
+        if a == () or b == ():  # an open child without trees
             return out
-        lo, c, z, m = parts[0] if parts else (0, 1, 1, 0)
-        for lo2, c2, z2, m2 in parts[1:]:
+        lo, c, z, m = a or (0, 1, 1, 0)
+        if b:
+            lo2, c2, z2, m2 = b
             lo += lo2
             c, z, m = c * c2, z * z2, m * c2 + c * m2
         if lo >= room:
@@ -801,7 +799,7 @@ class _TotalsAlgebra:
         if misc:
             z, m = 0, m + misc * c
         lo += base
-        if out is None:
+        if not out:
             return (lo, c, z, m)
         lo0, c0, z0, m0 = out
         if lo < lo0:
@@ -826,10 +824,9 @@ def _slot_width(arities: tuple[int, ...], cap: int, test_weight: int) -> int:
     bounding the trees of one size within the cap of a subproblem or open
     children's product: the lesser of T(F), T(k) = 1 + k T(k-1)^A over k
     features (A the largest arity), and the A-ary shapes of up to cap splits
-    with a feature on each, sum F^s binom(A s, s) / ((A-1) s + 1).  B bounds
-    the trees of one size after a product, a closed-leaf fold and a merge of
-    splits alike, so every kept slot (trees, error-free trees <= trees, error
-    sum <= trees * test weight) fits in that value's `bit_length()`."""
+    with a feature on each, sum F^s binom(A s, s) / ((A-1) s + 1).  So every
+    kept slot (trees, error-free trees, error sum <= trees * test weight)
+    fits in that value's `bit_length()`, after any product or merge."""
     a, f = max(arities), len(arities)
     capped_bits = cap * (3 * f * a).bit_length() + (cap + 1).bit_length()  # terms < (3FA)^s
     depth = k = 1
@@ -860,8 +857,11 @@ class _MinSizeAlgebra:
     def room(self, depth: int) -> None:
         return None
 
-    def attach(self, out, parts, base, misc, room):
-        return min(out, 1 + sum(parts))
+    def mul(self, a, b, room):
+        return a + b
+
+    def attach(self, out, a, b, base, misc, room):
+        return min(out, 1 + (a or 0) + (b or 0))
 
 
 # ------------------------------------------------------------- min size

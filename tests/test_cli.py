@@ -521,6 +521,23 @@ def test_a_failed_run_keeps_what_other_runs_wrote_beside_it(tmp_path, capsys, mo
     assert other.read_text(encoding="utf-8") == "trial\n"
 
 
+def test_a_failed_write_leaves_the_earlier_runs_files(tmp_path, capsys):
+    # a directory where this run's manifest goes: the run exits 3 and moves
+    # none of its files in, so --out holds the earlier run's files alone
+    out_dir = tmp_path / "run"
+    argv = ["experiment", "--preset", "fig1", "--threads", "1", "--out", str(out_dir), "--quiet"]
+    assert run_main(capsys, *argv, "--seed", "1")[0] == EXIT_OK
+    earlier = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    os.remove(out_dir / "run_manifest.csv")
+    (out_dir / "run_manifest.csv").mkdir()
+    code, out, err = run_main(capsys, *argv, "--seed", "2")
+    assert (code, out) == (EXIT_DATA, "")
+    assert err.startswith("error: data: ") and "run_manifest.csv" in err
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(earlier)
+    for p in out_dir.iterdir():
+        assert p.is_dir() if p.name == "run_manifest.csv" else p.read_bytes() == earlier[p.name]
+
+
 def test_an_unusable_out_is_refused_before_the_first_trial(tmp_path, capsys, monkeypatch):
     calls = []
     real = experiments.forest_summary

@@ -249,11 +249,11 @@ class _InterruptedAlgebra(_MinSizeAlgebra):
 
     left = 100
 
-    def attach(self, out, parts, base, misc, room):
+    def attach(self, out, a, b, base, misc, room):
         self.left -= 1
         if not self.left:
             raise RecursionError
-        return super().attach(out, parts, base, misc, room)
+        return super().attach(out, a, b, base, misc, room)
 
 
 def _solve_interrupted(train):
@@ -324,6 +324,39 @@ def test_conflicting_training_set_has_empty_forest():
     assert list(iter_consistent(bad)) == []
     assert forest_summary(bad).buckets == {}
     assert min_consistent_size(bad) is None
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["first-child", "second-child"])
+def test_an_open_child_without_trees_leaves_the_forest_empty_everywhere(side, monkeypatch):
+    # a conflicting pair below the root: a split on either feature leaves it
+    # an open child that no tree fits, beside a pure child, so no tree fits
+    # at all; every algebra must tell that child's empty profile from the
+    # marker of a closed child.  `side` flips the values, which puts the
+    # pair in the split's first child or in its second
+    import forestscope.forest as forest
+
+    seen = []
+    solve = forest._solve
+    monkeypatch.setattr(forest, "_solve", lambda alg, *a: seen.append(type(alg)) or solve(alg, *a))
+    s = binary_schema(["p", "q"])
+    rows = [((0, 0), 0), ((0, 0), 1), ((1, 0), 0), ((1, 1), 0)]
+    train = Dataset(s, tuple(LabeledExample((p ^ side, q ^ side), c) for (p, q), c in rows))
+    space = list(instance_space(s))
+    test = Dataset(s, tuple(LabeledExample(x, c) for x in space for c in (0, 1)))
+    lim = EnumerationLimits()
+    bins, no_hist = TrackOptions(path_bins=0.5), TrackOptions(error_hist=False)
+    routes = {
+        "counts, histograms": forest_summary(train, test),
+        "counts, no test set": forest_summary(train),
+        "counts, path bins": forest_summary(train, test, lim, space, replace(bins, error_hist=False)),
+        "totals": forest_summary(train, test, track=no_hist),
+        "stream": forest_summary(train, test, lim, space, bins, mode="stream"),
+    }
+    for route, summary in routes.items():
+        assert (summary.buckets, summary.path_bins or {}) == ({}, {}), route
+    assert min_consistent_size(train) is None
+    assert list(iter_consistent(train)) == []
+    assert seen == [forest._CountAlgebra] * 3 + [forest._TotalsAlgebra] + [_MinSizeAlgebra] * 3
 
 
 def test_empty_branch_takes_parent_majority():
@@ -961,7 +994,7 @@ def _as_profile(alg, trees):
 
     if isinstance(alg, _TotalsAlgebra):  # slot by slot, from the fewest splits
         if not trees:
-            return None
+            return alg.zero()
         lo = min(splits for splits, _ in trees)
         c = z = m = 0
         for splits, misc in trees:
@@ -987,7 +1020,7 @@ def _totals(trees):
 def _decoded(alg, profile):
     # a totals profile as `_totals` gives it, read through `tables`; no
     # profile's lowest slot is empty
-    assert profile is None or profile[1] & ((1 << alg.width) - 1)
+    assert not profile or profile[1] & ((1 << alg.width) - 1)
     buckets, _ = alg.tables(profile)
     return {c: (b.tree_count, b.correct_count, b.misclassified_total) for c, b in buckets.items()}
 
@@ -1031,19 +1064,25 @@ def test_count_algebra_keeps_keys_within_the_room(seed, cap):
             assert room == (cap - depth) * split_unit
 
             pair = _product(trees[:2], cap - depth, (0, 0))
+            got = alg.mul(parts[0], parts[1], room)
             if alg is count:  # only the counting algebra multiplies into a profile
-                got = alg.mul(parts[0], parts[1], room)
                 assert got == _as_profile(alg, pair)
                 into = _as_profile(alg, old)
                 got = alg.mul(parts[0], parts[1], room, into, base)
                 assert got is into
                 assert got == _as_profile(alg, old + _product(trees[:2], cap - depth, split))
-            else:  # the product of two parts, attached under no split
-                assert _decoded(alg, alg.attach(None, parts[:2], 0, 0, room)) == _totals(pair)
+            else:
+                assert _decoded(alg, got) == _totals(pair)
 
             for n in range(4):
+                # the open children as `_solve` hands them over: None for
+                # none, a third folded into the first by `mul`
+                a, b = (
+                    (None, None), (parts[0], None), parts[:2],
+                    (alg.mul(parts[0], parts[1], room), parts[2]),
+                )[n]
                 added = _product(trees[:n], cap - depth, split)
-                got = alg.attach(_as_profile(alg, old), parts[:n], base, split[1], room)
+                got = alg.attach(_as_profile(alg, old), a, b, base, split[1], room)
                 if alg is count:
                     assert got == _as_profile(alg, old + added)
                 else:
@@ -1080,8 +1119,8 @@ def test_field_units_build_the_keys_that_key_defines(track, seed):
         # a split of closed leaves only: the misc summed into its key is
         # the tree's error, kept in the key or folded into the totals
         key = count.key(splits, misc, path)
-        assert count.attach({}, [], key, misc, 1) == {key: 1}
-        closed = totals.attach(totals.zero(), [], splits, misc, 1)
+        assert count.attach({}, None, None, key, misc, 1) == {key: 1}
+        closed = totals.attach(totals.zero(), None, None, splits, misc, 1)
         assert _decoded(totals, closed) == {splits: (1, int(not misc), misc)}
     assert _MinSizeAlgebra().units == (0, 0, 0)
 
@@ -1151,43 +1190,59 @@ def test_splits_with_three_open_children_agree_across_routes(seed, cap):
 def test_router_one_probe_checks_match_their_definitions(seed):
     from forestscope.forest import _Router
 
-    # lenses rows with duplicates and conflicting labels, over 3 classes
-    schema = bundled_dataset("lenses").schema
-    space = list(instance_space(schema))
+    # lenses rows with duplicates and a conflicting label, over 3 classes and
+    # over the first 2; the mask-first purity rule reads a set's lowest row
+    # only when it holds no class-0 row, so such sets are drawn on purpose
+    lenses = bundled_dataset("lenses").schema
+    space = list(instance_space(lenses))
     r = SplitMix64(seed)
-    rows = []
-    for _ in range(1 + r.below(20)):
-        inst = space[r.below(len(space))]
-        rows += [LabeledExample(inst, r.below(3))] * (1 + r.below(3))
-    router = _Router(Dataset(schema, tuple(rows)))
-    n_rows = router.full.bit_length()
+    for n_classes in (2, 3):
+        schema = FeatureSchema(lenses.features, lenses.classes[:n_classes])
+        rows = []
+        for _ in range(1 + r.below(20)):
+            inst = space[r.below(len(space))]
+            rows += [LabeledExample(inst, r.below(n_classes))] * (1 + r.below(3))
+        rows.append(LabeledExample(rows[0].instance, (rows[0].label + 1) % n_classes))
+        _check_router(_Router(Dataset(schema, tuple(rows))), rows, r)
+
+
+def _check_router(router, rows, r):
+    n_rows, n_classes = router.full.bit_length(), router.n_classes
     assert n_rows == len(rows)
 
     def label_of(i):
-        (c,) = [c for c in range(3) if router.class_mask[c] >> i & 1]
+        (c,) = [c for c in range(n_classes) if router.class_mask[c] >> i & 1]
         return c
 
     def check(bits, labels):
         # labels: the class of each row in `bits`, counted directly
-        weights = [labels.count(c) for c in range(3)]
-        present = [c for c in range(3) if weights[c]]
+        weights = [labels.count(c) for c in range(n_classes)]
+        present = [c for c in range(n_classes) if weights[c]]
         assert router.sole_class(bits) == (present[0] if len(present) == 1 else None)
-        for c in range(3):
+        for c in range(n_classes):
             assert router.wrong_weight(bits, c) == len(labels) - weights[c]
         if labels:
             assert router.majority(bits) == weights.index(max(weights))
+
+    def check_rows(bits):
+        check(bits, [label_of(i) for i in range(n_rows) if bits >> i & 1])
 
     check(0, [])
     check(router.full, [ex.label for ex in rows])
     for i in range(n_rows):
         check(1 << i, [label_of(i)])
+    no_class0 = router.full & ~router.class_mask[0]
+    for mask in [no_class0] + router.class_mask:
+        check_rows(mask)
     for _ in range(20):
         bits = r.below(1 << n_rows)
-        check(bits, [label_of(i) for i in range(n_rows) if bits >> i & 1])
+        check_rows(bits)
+        check_rows(bits & no_class0)
+        check_rows(bits & router.class_mask[label_of(r.below(n_rows))])
     for _ in range(20):
         # the rows one partial path admits, counted over the examples
         bits = router.full
-        fixed = {f: r.below(a) for f, a in enumerate(schema.arities) if r.below(2)}
+        fixed = {f: r.below(a) for f, a in enumerate(router.arities) if r.below(2)}
         for f, v in fixed.items():
             bits &= router.value_mask[f][v]
         check(bits, [ex.label for ex in rows if all(ex.instance[f] == v for f, v in fixed.items())])
